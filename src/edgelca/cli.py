@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -25,7 +26,6 @@ from .profiles_io import (
 from .projection import (
     LAST_YEAR,
     PARIS_START_RANGE,
-    Scenario,
     TrendKind,
     cumulative_to_annual,
     load_scenarios,
@@ -171,12 +171,10 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
     for scenario in scenarios:
         effective = scenario
         if psi is not None or alpha is not None:
-            effective = Scenario(
-                name=scenario.name,
+            effective = replace(
+                scenario,
                 alpha=scenario.alpha if alpha is None else alpha,
                 psi=scenario.psi if psi is None else psi,
-                d_simple=scenario.d_simple,
-                d_complex=scenario.d_complex,
             )
         for annual in annuals:
             series.append(project(effective, annual))

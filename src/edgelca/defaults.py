@@ -3,7 +3,8 @@
 The tool runs with zero setup: factors, unit registry, trends, scenarios
 and example profiles ship inside the package. The environment variable
 EDGE_LCA_DATA_DIR points lookups at an alternative directory with the same
-file names; individual CLI flags override single files.
+file names; it must exist, and a file missing from it falls back to the
+bundled one. Individual CLI flags override single files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import List
 
+from .errors import EdgeLcaError
 from .factors import (
     EmissionFactorTable,
     UnitFactorRegistry,
@@ -28,7 +30,10 @@ DATA_DIR_ENV = "EDGE_LCA_DATA_DIR"
 def _read(name: str) -> str:
     override_dir = os.environ.get(DATA_DIR_ENV)
     if override_dir:
-        candidate = Path(override_dir) / name
+        directory = Path(override_dir)
+        if not directory.is_dir():
+            raise EdgeLcaError(f"{DATA_DIR_ENV} names no directory: {override_dir}")
+        candidate = directory / name
         if candidate.exists():
             return candidate.read_text(encoding="utf-8")
     return (resources.files("edgelca") / "data" / name).read_text(encoding="utf-8")

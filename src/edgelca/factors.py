@@ -9,9 +9,9 @@ inventory database.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import (
     FactorParseError,
@@ -91,9 +91,11 @@ class EmissionFactorTable:
         object.__setattr__(self, "cells", cells)
 
     def lookup(self, block: FunctionalBlock, level: HSL) -> EmissionTriple:
-        if not is_valid_cell(block, level):
-            raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination")
-        return self.cells[(block, level)]
+        # The constructor admits exactly the valid cells, so a miss is a forbidden one.
+        try:
+            return self.cells[(block, level)]
+        except KeyError:
+            raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination") from None
 
     def column_sum(self, level: HSL) -> Tuple[float, float, float]:
         """Componentwise sum over all blocks defined at `level`."""
@@ -105,10 +107,6 @@ class EmissionFactorTable:
                 typ += cell.typical
                 up += cell.up
         return (low, typ, up)
-
-
-def lookup(table: EmissionFactorTable, block: FunctionalBlock, level: HSL) -> EmissionTriple:
-    return table.lookup(block, level)
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,10 @@ class UnitFactor:
         if isinstance(self.value, EmissionTriple):
             if self.value.low <= 0:
                 raise InvalidTriple(f"entry {self.key!r} must be strictly positive")
-        elif self.value <= 0:
-            raise InvalidTriple(f"entry {self.key!r} must be strictly positive, got {self.value}")
+        elif not (0 < self.value < math.inf):
+            raise InvalidTriple(
+                f"entry {self.key!r} must be strictly positive and finite, got {self.value}"
+            )
 
     def scalar(self) -> float:
         """Scalar view; triple-valued entries expose their typical value."""
@@ -161,6 +161,13 @@ class UnitFactorRegistry:
         return self.entries[key]
 
 
+def csv_field(text: str) -> str:
+    """`text` as one csv field: quoted per RFC 4180 only when it needs it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _parse_float(text: str, line_no: int, column: int) -> float:
     try:
         return float(text)
@@ -168,10 +175,17 @@ def _parse_float(text: str, line_no: int, column: int) -> float:
         raise FactorParseError(f"expected a number, got {text!r}", line_no, column) from None
 
 
-def _data_lines(text: str):
-    """Yield (line_no, line) for non-blank, non-comment lines; collect metadata."""
+def read_rows(text: str, header: List[str], empty_message: str):
+    """The grammar shared by the four data CSVs: (metadata, [(line_no, fields)]).
+
+    Blank lines and `#` comments are skipped; `# source:`, `# version:` and
+    `# method:` comments fill the metadata. The first other line must be
+    `header`; each later one is split by the csv module into stripped fields,
+    exactly as many as the header has.
+    """
     meta = {}
     rows = []
+    header_seen = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -183,23 +197,27 @@ def _data_lines(text: str):
                 if body.lower().startswith(prefix):
                     meta[key] = body[len(prefix):].strip()
             continue
-        rows.append((line_no, line))
+        fields = [f.strip() for f in next(csv.reader([line]))]
+        if not header_seen:
+            if fields != header:
+                raise FactorParseError(f"expected header {','.join(header)!r}", line_no, 1)
+            header_seen = True
+        elif len(fields) != len(header):
+            raise FactorParseError(
+                f"expected {len(header)} fields, got {len(fields)}", line_no, 1
+            )
+        else:
+            rows.append((line_no, fields))
+    if not header_seen:
+        raise FactorParseError(empty_message, 1, 1)
     return meta, rows
 
 
 def parse_factor_table(text: str) -> EmissionFactorTable:
     """Parse the `block,level,low,typical,up` grammar into a validated table."""
-    meta, rows = _data_lines(text)
-    if not rows:
-        raise FactorParseError("empty factor file", 1, 1)
-    header_no, header = rows[0]
-    if [c.strip() for c in header.split(",")] != FACTOR_HEADER:
-        raise FactorParseError(f"expected header {','.join(FACTOR_HEADER)!r}", header_no, 1)
+    meta, rows = read_rows(text, FACTOR_HEADER, "empty factor file")
     cells: Dict[Tuple[FunctionalBlock, HSL], EmissionTriple] = {}
-    for line_no, line in rows[1:]:
-        fields = next(csv.reader(io.StringIO(line)))
-        if len(fields) != 5:
-            raise FactorParseError(f"expected 5 fields, got {len(fields)}", line_no, 1)
+    for line_no, fields in rows:
         try:
             block = FunctionalBlock.from_key(fields[0])
         except KeyError as exc:
@@ -207,7 +225,9 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
         try:
             level = HSL.from_key(fields[1])
         except KeyError as exc:
-            raise FactorParseError(str(exc), line_no, len(fields[0]) + 2) from None
+            # The level field starts right after the first field as written.
+            first = next(csv.reader([text.splitlines()[line_no - 1].strip()]))[0]
+            raise FactorParseError(str(exc), line_no, len(first) + 2) from None
         if not is_valid_cell(block, level):
             raise ForbiddenCell(
                 f"line {line_no}: ({block.key}, {level.key}) is not a valid combination"
@@ -223,12 +243,7 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
         if (block, level) in cells:
             raise FactorParseError(f"duplicate cell ({block.key}, {level.key})", line_no, 1)
         cells[(block, level)] = EmissionTriple(low, typ, up)
-    metadata = TableMetadata(
-        source=meta.get("source", ""),
-        version=meta.get("version", ""),
-        method=meta.get("method", TableMetadata.method),
-    )
-    return EmissionFactorTable(cells=cells, metadata=metadata)
+    return EmissionFactorTable(cells=cells, metadata=TableMetadata(**meta))
 
 
 def load_factor_table(path) -> EmissionFactorTable:
@@ -269,24 +284,14 @@ def _parse_value(text: str, line_no: int):
 
 def parse_unit_registry(text: str) -> UnitFactorRegistry:
     """Parse the `key,value,unit,note` grammar into a validated registry."""
-    _, rows = _data_lines(text)
-    if not rows:
-        raise FactorParseError("empty unit-registry file", 1, 1)
-    header_no, header = rows[0]
-    if [c.strip() for c in header.split(",")] != UNITS_HEADER:
-        raise FactorParseError(f"expected header {','.join(UNITS_HEADER)!r}", header_no, 1)
+    _, rows = read_rows(text, UNITS_HEADER, "empty unit-registry file")
     entries: Dict[str, UnitFactor] = {}
-    for line_no, line in rows[1:]:
-        fields = next(csv.reader(io.StringIO(line)))
-        if len(fields) != 4:
-            raise FactorParseError(f"expected 4 fields, got {len(fields)}", line_no, 1)
-        key = fields[0].strip()
+    for line_no, (key, value, unit, note) in rows:
         if not key:
             raise FactorParseError("empty key", line_no, 1)
         if key in entries:
             raise FactorParseError(f"duplicate key {key!r}", line_no, 1)
-        value = _parse_value(fields[1].strip(), line_no)
-        entries[key] = UnitFactor(key=key, value=value, unit=fields[2].strip(), note=fields[3].strip())
+        entries[key] = UnitFactor(key=key, value=_parse_value(value, line_no), unit=unit, note=note)
     return UnitFactorRegistry(entries=entries)
 
 
@@ -303,8 +308,5 @@ def serialize_unit_registry(registry: UnitFactorRegistry) -> str:
             value = f"{e.value.low!r}/{e.value.typical!r}/{e.value.up!r}"
         else:
             value = repr(e.value)
-        note = e.note
-        if "," in note or '"' in note:
-            note = '"' + note.replace('"', '""') + '"'
-        out.append(f"{key},{value},{e.unit},{note}")
+        out.append(f"{key},{value},{e.unit},{csv_field(e.note)}")
     return "\n".join(out) + "\n"

@@ -8,6 +8,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -88,7 +89,8 @@ class EmissionTriple:
     """(low, typical, up) carbon footprint in kgCO2-eq.
 
     The universal uncertainty carrier: three parallel deterministic cases,
-    not a statistical distribution. Invariant: 0 <= low <= typical <= up.
+    not a statistical distribution. Invariant: 0 <= low <= typical <= up,
+    all finite.
     Addition and nonnegative scaling act componentwise, which preserves the
     ordering.
     """
@@ -98,10 +100,10 @@ class EmissionTriple:
     up: float
 
     def __post_init__(self):
-        if not (0.0 <= self.low <= self.typical <= self.up):
+        if not (0.0 <= self.low <= self.typical <= self.up < math.inf):
             raise InvalidTriple(
                 f"triple ({self.low}, {self.typical}, {self.up}) violates "
-                "0 <= low <= typical <= up"
+                "0 <= low <= typical <= up < inf"
             )
 
     def __add__(self, other: "EmissionTriple") -> "EmissionTriple":
@@ -117,11 +119,6 @@ class EmissionTriple:
             raise InvalidTriple(f"scale factor must be nonnegative, got {k}")
         return EmissionTriple(self.low * k, self.typical * k, self.up * k)
 
-    def __mul__(self, k: float) -> "EmissionTriple":
-        return self.scale(k)
-
-    __rmul__ = __mul__
-
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.low, self.typical, self.up)
 
@@ -130,14 +127,6 @@ class EmissionTriple:
 
 
 ZERO_TRIPLE = EmissionTriple(0.0, 0.0, 0.0)
-
-
-def triple_add(a: EmissionTriple, b: EmissionTriple) -> EmissionTriple:
-    return a + b
-
-
-def triple_scale(a: EmissionTriple, k: float) -> EmissionTriple:
-    return a.scale(k)
 
 
 def triple_sum(triples) -> EmissionTriple:

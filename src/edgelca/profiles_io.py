@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
+from .factors import csv_field
 from .model import (
     ComponentOverride,
     FunctionalBlock,
@@ -76,7 +77,8 @@ class ProfileDocument:
 _SECTION_RE = re.compile(r"^\[(?P<name>[^\]]*)\]\s*$")
 _KEYVAL_RE = re.compile(r"^(?P<key>[^=\s][^=]*?)\s*=\s*(?P<value>.*)$")
 _OVERRIDE_RE = re.compile(
-    r"^(?P<kind>[a-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?)(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
+    r"^(?P<kind>[a-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
 )
 
 
@@ -290,6 +292,8 @@ def render_profiles(document: ProfileDocument) -> str:
             lines.append(f"{block.key} = {profile.level_of(block).key}")
         for ov in profile.overrides:
             qty = f"{ov.quantity:g}"
+            if float(qty) != ov.quantity:
+                qty = repr(ov.quantity)
             lines.append(
                 f"override.{ov.block.key} = {ov.kind.value}:{qty}{ov.unit}@{ov.factor_key}"
             )
@@ -322,7 +326,7 @@ def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -
 def _render_csv(reports: Sequence[EvaluationReport]) -> str:
     lines = [_CSV_HEADER]
     for report in reports:
-        name = report.estimate.profile_name
+        name = csv_field(report.estimate.profile_name)
         for block_key, level, triple in _rows_with_levels(report):
             lines.append(
                 f"{name},{block_key},{level},"

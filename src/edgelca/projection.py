@@ -12,8 +12,7 @@ pipeline is a deliberate no-op multiplier.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Mapping, Tuple
@@ -26,6 +25,7 @@ from .errors import (
     NotCumulative,
     TooFewPoints,
 )
+from .factors import read_rows
 from .model import EmissionTriple
 
 FIRST_YEAR = 2018
@@ -71,8 +71,10 @@ class DeploymentTrend:
                 raise EdgeLcaError(
                     f"trend {self.source!r}: year {year} outside [{FIRST_YEAR}, {LAST_YEAR}]"
                 )
-            if count <= 0:
-                raise EdgeLcaError(f"trend {self.source!r}: count for {year} must be > 0")
+            if not (0 < count < math.inf):
+                raise EdgeLcaError(
+                    f"trend {self.source!r}: count for {year} must be > 0 and finite"
+                )
         if self.kind is TrendKind.CUMULATIVE:
             values = list(points.values())
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -165,8 +167,8 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise EdgeLcaError(f"scenario {self.name!r}: alpha must be in [0, 1]")
-        if self.psi < 1.0:
-            raise EdgeLcaError(f"scenario {self.name!r}: psi must be >= 1")
+        if not (1.0 <= self.psi < math.inf):
+            raise EdgeLcaError(f"scenario {self.name!r}: psi must be >= 1 and finite")
 
     def per_device(self) -> EmissionTriple:
         """Blend alpha * D_s + (1 - alpha) * D_c, componentwise."""
@@ -214,8 +216,8 @@ def paris_pathway(
     end_year: int = LAST_YEAR,
 ) -> ReductionPathway:
     """Reference path declining 7.6 %/year from 2020."""
-    if start_low <= 0 or start_high <= 0:
-        raise EdgeLcaError("pathway start values must be positive")
+    if not (0 < start_low < math.inf and 0 < start_high < math.inf):
+        raise EdgeLcaError("pathway start values must be positive and finite")
     if end_year < PARIS_START_YEAR:
         raise EdgeLcaError(f"end year must be >= {PARIS_START_YEAR}")
     keep = 1.0 - PARIS_ANNUAL_REDUCTION
@@ -244,37 +246,12 @@ SCENARIOS_HEADER = [
 ]
 
 
-def _rows(text: str, expected_header: List[str]):
-    rows = []
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = next(csv.reader(io.StringIO(line)))
-        fields = [f.strip() for f in fields]
-        if not header_seen:
-            if fields != expected_header:
-                raise FactorParseError(
-                    f"expected header {','.join(expected_header)!r}", line_no, 1
-                )
-            header_seen = True
-            continue
-        if len(fields) != len(expected_header):
-            raise FactorParseError(
-                f"expected {len(expected_header)} fields, got {len(fields)}", line_no, 1
-            )
-        rows.append((line_no, fields))
-    if not header_seen:
-        raise FactorParseError("empty file", 1, 1)
-    return rows
-
-
 def parse_trends(text: str) -> List[DeploymentTrend]:
     """Parse `source,kind,year,value,extrapolated` rows into trends."""
     grouped: Dict[Tuple[str, TrendKind], Dict[int, float]] = {}
     flags: Dict[Tuple[str, TrendKind], set] = {}
-    for line_no, fields in _rows(text, TRENDS_HEADER):
+    _, rows = read_rows(text, TRENDS_HEADER, "empty file")
+    for line_no, fields in rows:
         source, kind_s, year_s, value_s, extra_s = fields
         try:
             kind = TrendKind(kind_s.lower())
@@ -308,7 +285,8 @@ def load_trends(path) -> List[DeploymentTrend]:
 def parse_scenarios(text: str) -> List[Scenario]:
     scenarios = []
     seen = set()
-    for line_no, fields in _rows(text, SCENARIOS_HEADER):
+    _, rows = read_rows(text, SCENARIOS_HEADER, "empty file")
+    for line_no, fields in rows:
         name = fields[0]
         if name in seen:
             raise FactorParseError(f"duplicate scenario {name!r}", line_no, 1)

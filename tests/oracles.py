@@ -1,7 +1,7 @@
 """Independent oracles used by the test suite.
 
 The brute force below enumerates every valid profile (2 security levels x
-4 levels for the other 11 blocks, about 12.6M assignments) with plain
+4 levels for the other 11 blocks, 2 * 4**11 = 8,388,608 assignments) with plain
 outer sums. It shares no code path with the greedy scan it checks.
 """
 

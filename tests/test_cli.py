@@ -150,6 +150,11 @@ class TestProject:
         result = runner.invoke(main, ["project", "--trend", "Nokia"])
         assert result.exit_code == 2
 
+    def test_nonfinite_psi_exits_one(self, runner):
+        result = runner.invoke(main, ["project", "--psi", "inf"])
+        assert result.exit_code == 1
+        assert "finite" in result.stderr
+
     def test_repeated_runs_identical(self, runner):
         first = runner.invoke(main, ["project"])
         second = runner.invoke(main, ["project"])
@@ -178,6 +183,11 @@ class TestPathway:
         result = runner.invoke(main, ["pathway", "--start-low", "-5"])
         assert result.exit_code == 1
 
+    def test_nonfinite_start_exits_one(self, runner):
+        result = runner.invoke(main, ["pathway", "--start-low", "nan"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+
 
 class TestDataDirOverride:
     def test_env_var_redirects_factor_table(self, runner, tmp_path, monkeypatch, table):
@@ -194,3 +204,10 @@ class TestDataDirOverride:
         result = runner.invoke(main, ["sensitivity"])
         assert result.exit_code == 0
         assert "max sum-of-up: 94.82 kgCO2-eq" in result.output
+
+    def test_env_var_missing_directory_exits_one(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "missing"))
+        result = runner.invoke(main, ["sensitivity"])
+        assert result.exit_code == 1
+        assert DATA_DIR_ENV in result.stderr
+        assert result.stdout == ""

@@ -11,11 +11,13 @@ from edgelca.errors import (
 )
 from edgelca.factors import (
     EXPECTED_CELL_COUNT,
+    UnitFactor,
     parse_factor_table,
     parse_unit_registry,
     serialize_factor_table,
     serialize_unit_registry,
 )
+from edgelca.projection import parse_scenarios, parse_trends
 from edgelca.model import EmissionTriple, FunctionalBlock, HSL
 
 MINIMAL_UNITS = """key,value,unit,note
@@ -91,6 +93,22 @@ class TestFactorTable:
         with pytest.raises(FactorParseError, match="header"):
             parse_factor_table("a,b,c\n")
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [("actuators,hsl9,0,0,0", 11), ("actuators  , hsl9,0,0,0", 13),
+         ("  actuators,hsl9,0,0,0", 11)],
+    )
+    def test_unknown_level_column(self, row, column):
+        with pytest.raises(FactorParseError, match="hsl9") as info:
+            parse_factor_table("block,level,low,typical,up\n" + row + "\n")
+        assert (info.value.line, info.value.column) == (2, column)
+
+    def test_whitespace_around_fields_ignored(self, table):
+        text = serialize_factor_table(table).replace(
+            "processing,hsl3,2.31,3.13,3.98", "  processing , hsl3 ,2.31, 3.13 ,3.98"
+        )
+        assert parse_factor_table(text).cells == table.cells
+
     def test_column_sums_close_to_published_totals(self, table):
         published = {
             HSL.HSL0: (0.46, 0.96, 1.33),
@@ -133,6 +151,13 @@ class TestUnitRegistry:
         with pytest.raises(InvalidTriple):
             parse_unit_registry(MINIMAL_UNITS + "bad_factor,0,kgCO2-eq/kg,\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected(self, value):
+        with pytest.raises(InvalidTriple):
+            UnitFactor(key="k", value=float(value), unit="kgCO2-eq/kg")
+        with pytest.raises(InvalidTriple):
+            parse_unit_registry(MINIMAL_UNITS.replace("li_ion_per_kg,25,", f"li_ion_per_kg,{value},"))
+
     def test_unit_outside_closed_set(self):
         with pytest.raises(UnknownUnit):
             parse_unit_registry(MINIMAL_UNITS + "bad_factor,1,furlongs,\n")
@@ -155,3 +180,34 @@ class TestUnitRegistry:
     def test_duplicate_key_rejected(self):
         with pytest.raises(FactorParseError, match="duplicate"):
             parse_unit_registry(MINIMAL_UNITS + "li_ion_per_kg,26,kgCO2-eq/kg,\n")
+
+
+#: Each data-file parser with its header; all four share one grammar.
+DATA_PARSERS = {
+    "factors": (parse_factor_table, "block,level,low,typical,up"),
+    "units": (parse_unit_registry, "key,value,unit,note"),
+    "trends": (parse_trends, "source,kind,year,value,extrapolated"),
+    "scenarios": (parse_scenarios, "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DATA_PARSERS))
+class TestDataFileGrammar:
+    def test_empty_file(self, kind):
+        parse, _ = DATA_PARSERS[kind]
+        with pytest.raises(FactorParseError, match="empty") as info:
+            parse("\n# only a comment\n\n")
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    def test_header_after_comments(self, kind):
+        parse, header = DATA_PARSERS[kind]
+        with pytest.raises(FactorParseError, match="header") as info:
+            parse("# note\n\n" + header.replace(",", ";") + "\n")
+        assert info.value.line == 3
+
+    def test_field_count(self, kind):
+        parse, header = DATA_PARSERS[kind]
+        expected = f"expected {header.count(',') + 1} fields, got 2"
+        with pytest.raises(FactorParseError, match=expected) as info:
+            parse(header + "\n# comment\na,b\n")
+        assert info.value.line == 3

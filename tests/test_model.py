@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +11,6 @@ from edgelca.model import (
     HardwareProfile,
     ZERO_TRIPLE,
     is_valid_cell,
-    triple_add,
-    triple_scale,
     triple_sum,
     valid_levels,
 )
@@ -57,19 +57,28 @@ class TestTriple:
             EmissionTriple(-1.0, 0.0, 1.0)
 
     def test_add_identity(self):
-        assert triple_add(ZERO_TRIPLE, EmissionTriple(1, 2, 3)) == EmissionTriple(1, 2, 3)
+        assert ZERO_TRIPLE + EmissionTriple(1, 2, 3) == EmissionTriple(1, 2, 3)
 
     def test_add_table_cells(self):
         others = EmissionTriple(0.06, 0.11, 0.14)
         pcb = EmissionTriple(0.13, 0.16, 0.24)
-        total = triple_add(others, pcb)
+        total = others + pcb
         assert total.as_tuple() == pytest.approx((0.19, 0.27, 0.38), abs=1e-12)
 
     def test_scale(self):
-        assert triple_scale(EmissionTriple(1, 2, 3), 0) == ZERO_TRIPLE
-        assert triple_scale(EmissionTriple(1, 2, 3), 2) == EmissionTriple(2, 4, 6)
-        half = triple_scale(EmissionTriple(0.18, 0.52, 0.66), 0.5)
+        assert EmissionTriple(1, 2, 3).scale(0) == ZERO_TRIPLE
+        assert EmissionTriple(1, 2, 3).scale(2) == EmissionTriple(2, 4, 6)
+        half = EmissionTriple(0.18, 0.52, 0.66).scale(0.5)
         assert half.as_tuple() == pytest.approx((0.09, 0.26, 0.33), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0, 1, math.inf), (0, math.inf, math.inf), (math.inf,) * 3,
+         (0, 1, math.nan), (math.nan, 1, 2)],
+    )
+    def test_nonfinite_rejected(self, values):
+        with pytest.raises(InvalidTriple):
+            EmissionTriple(*values)
 
     def test_scale_negative_rejected(self):
         with pytest.raises(InvalidTriple):

@@ -1,11 +1,22 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from edgelca.errors import ProfileParseError
 from edgelca.estimator import evaluate_profile
-from edgelca.model import FunctionalBlock, HSL, HardwareProfile, OverrideKind
+from edgelca.model import (
+    OVERRIDE_QUANTITY_UNITS,
+    ComponentOverride,
+    FunctionalBlock,
+    HSL,
+    HardwareProfile,
+    OverrideKind,
+    valid_levels,
+)
 from edgelca.profiles_io import (
     DUPLICATE_BLOCK,
     DUPLICATE_PROFILE_NAME,
@@ -16,6 +27,7 @@ from edgelca.profiles_io import (
     UNKNOWN_LEVEL,
     UNSUPPORTED_VERSION,
     Diagnostic,
+    ProfileDocument,
     parse_profiles,
     render_profiles,
     render_report,
@@ -39,6 +51,41 @@ ERROR_FIXTURES = {
 
 def read(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
+
+
+@st.composite
+def overrides(draw):
+    kind = draw(st.sampled_from(OverrideKind))
+    units = OVERRIDE_QUANTITY_UNITS[kind]
+    return ComponentOverride(
+        block=draw(st.sampled_from(FunctionalBlock)),
+        kind=kind,
+        quantity=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+        unit=draw(st.sampled_from(units + tuple(u.upper() for u in units))),
+        factor_key=draw(NAMES),
+    )
+
+
+@st.composite
+def documents(draw):
+    profiles = tuple(
+        HardwareProfile(
+            name=name,
+            assignments={b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
+            overrides=tuple(draw(st.lists(overrides(), max_size=3))),
+        )
+        for name in draw(st.lists(NAMES, unique=True, max_size=3))
+    )
+    annotations = draw(st.dictionaries(NAMES, NAMES, max_size=2))
+    return ProfileDocument(format_version=1, profiles=profiles, annotations=annotations)
+
+
+def single_override_document(override):
+    levels = HardwareProfile.uniform("p", HSL.HSL1).assignments
+    return ProfileDocument(1, (HardwareProfile("p", levels, (override,)),))
 
 
 class TestParsing:
@@ -119,6 +166,28 @@ class TestRoundTrip:
     def test_shipped_use_cases_parse(self, use_cases):
         assert len(use_cases.profiles) == 4
 
+    @pytest.mark.parametrize(
+        "kind, quantity, unit, text",
+        [
+            (OverrideKind.MASS_SCALED, 1234567.0, "g", "1234567.0g"),
+            (OverrideKind.MEMORY_CAPACITY, 0.1234567, "MB", "0.1234567MB"),
+            (OverrideKind.MASS_SCALED, 48.0, "g", "48g"),
+            (OverrideKind.UNIT_COUNT, 1e20, "u", "1e+20u"),
+            (OverrideKind.MEMORY_CAPACITY, 2.5e-7, "GB", "2.5e-07GB"),
+        ],
+    )
+    def test_override_quantity_round_trips(self, kind, quantity, unit, text):
+        doc = single_override_document(
+            ComponentOverride(FunctionalBlock.MEMORY, kind, quantity, unit, "k")
+        )
+        rendered = render_profiles(doc)
+        assert f":{text}@k\n" in rendered
+        assert parse_profiles(rendered) == doc
+
+    @given(documents())
+    def test_render_parse_identity_property(self, doc):
+        assert parse_profiles(render_profiles(doc)) == doc
+
 
 class TestReportRendering:
     @pytest.fixture()
@@ -167,6 +236,13 @@ class TestReportRendering:
         lines = render_report(evaluate_profile(battery, table, units), "csv").splitlines()
         ps_row = next(ln for ln in lines if ",power_supply," in ln)
         assert ps_row == "battery_device,power_supply,override,1.20,1.20,1.20"
+
+    @pytest.mark.parametrize("name", ['x,"y', "a\nb", "c\rd", 'q"', "plain name"])
+    def test_csv_name_reads_back(self, table, units, name):
+        report = evaluate_profile(HardwareProfile.uniform(name, HSL.HSL1), table, units)
+        rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
+        assert [row[0] for row in rows[1:]] == [name] * 13
+        assert all(len(row) == 6 for row in rows)
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,6 +157,11 @@ class TestScenario:
         with pytest.raises(EdgeLcaError):
             Scenario(name="s", alpha=0.5, psi=0.5)
 
+    @pytest.mark.parametrize("psi", [math.inf, math.nan])
+    def test_psi_nonfinite(self, psi):
+        with pytest.raises(EdgeLcaError, match="finite"):
+            Scenario(name="s", alpha=0.5, psi=psi)
+
     def test_blend_value(self, scenarios):
         blend = scenarios["sc1"].per_device()
         assert blend.as_tuple() == pytest.approx((1.932, 3.911, 5.938), abs=1e-12)
@@ -227,6 +234,12 @@ class TestPathway:
         with pytest.raises(EdgeLcaError):
             paris_pathway(end_year=2019)
 
+    @pytest.mark.parametrize("start", [{"start_low": math.nan}, {"start_low": math.inf},
+                                       {"start_high": math.nan}, {"start_high": math.inf}])
+    def test_nonfinite_start_rejected(self, start):
+        with pytest.raises(EdgeLcaError, match="finite"):
+            paris_pathway(**start)
+
     def test_csv(self):
         text = pathway_csv(paris_pathway(end_year=2021))
         assert text == "year,low,high\n2020,281.00,543.00\n2021,259.64,501.73\n"
@@ -269,6 +282,13 @@ class TestParsing:
         )
         with pytest.raises(EdgeLcaError, match="increasing"):
             parse_trends(text)
+
+    @pytest.mark.parametrize("count", ["nan", "inf"])
+    def test_nonfinite_count_rejected(self, count):
+        with pytest.raises(EdgeLcaError, match="finite"):
+            make_cumulative({2020: 1.0, 2021: float(count)})
+        with pytest.raises(EdgeLcaError, match="finite"):
+            parse_trends(f"source,kind,year,value,extrapolated\nX,annual,2020,{count},0\n")
 
     def test_scenario_file(self, scenarios):
         assert set(scenarios) == {
