@@ -242,7 +242,10 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
             )
         if (block, level) in cells:
             raise FactorParseError(f"duplicate cell ({block.key}, {level.key})", line_no, 1)
-        cells[(block, level)] = EmissionTriple(low, typ, up)
+        try:
+            cells[(block, level)] = EmissionTriple(low, typ, up)
+        except InvalidTriple as exc:
+            raise InvalidTriple(f"line {line_no}: {exc}") from None
     return EmissionFactorTable(cells=cells, metadata=TableMetadata(**meta))
 
 
@@ -291,7 +294,10 @@ def parse_unit_registry(text: str) -> UnitFactorRegistry:
             raise FactorParseError("empty key", line_no, 1)
         if key in entries:
             raise FactorParseError(f"duplicate key {key!r}", line_no, 1)
-        entries[key] = UnitFactor(key=key, value=_parse_value(value, line_no), unit=unit, note=note)
+        try:
+            entries[key] = UnitFactor(key=key, value=_parse_value(value, line_no), unit=unit, note=note)
+        except (InvalidTriple, UnknownUnit) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
     return UnitFactorRegistry(entries=entries)
 
 
@@ -308,5 +314,5 @@ def serialize_unit_registry(registry: UnitFactorRegistry) -> str:
             value = f"{e.value.low!r}/{e.value.typical!r}/{e.value.up!r}"
         else:
             value = repr(e.value)
-        out.append(f"{key},{value},{e.unit},{csv_field(e.note)}")
+        out.append(f"{csv_field(key)},{value},{e.unit},{csv_field(e.note)}")
     return "\n".join(out) + "\n"

@@ -62,12 +62,13 @@ class HSL(enum.IntEnum):
 
     @classmethod
     def from_key(cls, key: str) -> "HSL":
-        k = key.strip().lower()
-        for level in cls:
-            if level.key == k:
-                return level
-        raise KeyError(f"unknown hardware specification level {key!r}")
+        try:
+            return _HSL_BY_KEY[key.strip().lower()]
+        except KeyError:
+            raise KeyError(f"unknown hardware specification level {key!r}") from None
 
+
+_HSL_BY_KEY = {level.key: level for level in HSL}
 
 #: Security hardware only exists as a small external IC; levels 2 and 3
 #: are not defined for it.

@@ -16,6 +16,7 @@ line, a column and a stable error code.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,188 +84,140 @@ _OVERRIDE_RE = re.compile(
 
 
 def _value_column(raw_line: str, value: str) -> int:
-    pos = raw_line.find(value)
-    return pos + 1 if pos >= 0 else 1
+    """1-based column of `value`, which follows the first `=` of its line."""
+    return raw_line.find(value, raw_line.index("=") + 1) + 1
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.diagnostics: List[Diagnostic] = []
-        self.annotations: Dict[str, str] = {}
-        self.format_version = SUPPORTED_FORMAT_VERSION
-        self.profiles: List[HardwareProfile] = []
-        self._names_seen: Dict[str, int] = {}
-        # current section state
-        self._name: Optional[str] = None
-        self._name_line = 0
-        self._assignments: Dict[FunctionalBlock, Tuple[HSL, int]] = {}
-        self._overrides: List[ComponentOverride] = []
-        self._section_bad = False
+@dataclass
+class _Section:
+    """The open `[name]` section; `name` is None under a rejected header,
+    whose entries are skipped."""
 
-    def error(self, code, message, line, column=1):
-        self.diagnostics.append(Diagnostic(code, message, line, column))
+    name: Optional[str]
+    line: int
+    levels: Dict[FunctionalBlock, Tuple[HSL, int]] = field(default_factory=dict)
+    overrides: List[ComponentOverride] = field(default_factory=list)
+    bad: bool = False
 
-    def run(self) -> "_Parser":
-        for line_no, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
-            m = _SECTION_RE.match(line.strip())
-            if m:
-                self._close_section()
-                name = m.group("name").strip()
-                if not name:
-                    self.error(SYNTAX, "empty profile name", line_no)
-                    self._section_bad = True
-                    self._name = None
-                elif name in self._names_seen:
-                    self.error(
-                        DUPLICATE_PROFILE_NAME,
-                        f"profile name {name!r} already used on line {self._names_seen[name]}",
-                        line_no,
-                    )
-                    self._section_bad = True
-                    self._name = None
-                else:
-                    self._names_seen[name] = line_no
-                    self._name = name
-                    self._name_line = line_no
-                    self._section_bad = False
-                continue
-            m = _KEYVAL_RE.match(line.strip())
-            if not m:
-                self.error(SYNTAX, f"expected 'key = value', got {line.strip()!r}", line_no)
-                continue
-            key = m.group("key").strip()
-            value = m.group("value").strip()
-            if self._name is None and not self._section_bad:
-                self._document_entry(key, value, line_no, raw)
-            elif self._name is not None:
-                self._section_entry(key, value, line_no, raw)
-        self._close_section()
-        return self
 
-    def _document_entry(self, key, value, line_no, raw):
-        if key == "format_version":
-            try:
-                self.format_version = int(value)
-            except ValueError:
-                self.error(SYNTAX, f"format_version must be an integer, got {value!r}",
-                           line_no, _value_column(raw, value))
-                return
-            if self.format_version != SUPPORTED_FORMAT_VERSION:
-                self.error(
-                    UNSUPPORTED_VERSION,
-                    f"format_version {self.format_version} unsupported "
-                    f"(supported: {SUPPORTED_FORMAT_VERSION})",
-                    line_no, _value_column(raw, value),
-                )
-        elif key.startswith("annotation."):
-            self.annotations[key[len("annotation."):]] = value
-        else:
-            self.error(SYNTAX, f"unexpected key {key!r} before first profile section", line_no)
-
-    def _section_entry(self, key, value, line_no, raw):
-        if key.startswith("override."):
-            self._override_entry(key[len("override."):], value, line_no, raw)
-            return
-        try:
-            block = FunctionalBlock.from_key(key)
-        except KeyError:
-            self.error(UNKNOWN_BLOCK, f"unknown functional block {key!r}", line_no)
-            self._section_bad = True
-            return
-        try:
-            level = HSL.from_key(value)
-        except KeyError:
-            self.error(UNKNOWN_LEVEL, f"unknown level {value!r}", line_no,
-                       _value_column(raw, value))
-            self._section_bad = True
-            return
-        if block in self._assignments:
-            first_line = self._assignments[block][1]
-            self.error(DUPLICATE_BLOCK,
-                       f"block {block.key!r} already assigned on line {first_line}", line_no)
-            self._section_bad = True
-            return
-        if not is_valid_cell(block, level):
-            self.error(FORBIDDEN_COMBINATION,
-                       f"{block.key} cannot be assigned {level.key}", line_no,
-                       _value_column(raw, value))
-            self._section_bad = True
-            return
-        self._assignments[block] = (level, line_no)
-
-    def _override_entry(self, block_key, value, line_no, raw):
-        try:
-            block = FunctionalBlock.from_key(block_key)
-        except KeyError:
-            self.error(UNKNOWN_BLOCK, f"unknown functional block {block_key!r}", line_no)
-            self._section_bad = True
-            return
+def _section_entry(section: _Section, key: str, value: str, line_no: int,
+                   raw: str) -> Optional[Diagnostic]:
+    """Record one `key = value` entry of `section`, or return the one
+    diagnostic it earns."""
+    is_override = key.startswith("override.")
+    block_key = key[len("override."):] if is_override else key
+    try:
+        block = FunctionalBlock.from_key(block_key)
+    except KeyError:
+        return Diagnostic(UNKNOWN_BLOCK, f"unknown functional block {block_key!r}", line_no)
+    if is_override:
         m = _OVERRIDE_RE.match(value)
         if not m:
-            self.error(SYNTAX,
-                       f"override must be '<kind>:<quantity><unit>@<factor_key>', got {value!r}",
-                       line_no, _value_column(raw, value))
-            self._section_bad = True
-            return
+            return Diagnostic(
+                SYNTAX, f"override must be '<kind>:<quantity><unit>@<factor_key>', got {value!r}",
+                line_no, _value_column(raw, value))
         try:
             kind = OverrideKind.from_key(m.group("kind"))
         except KeyError:
-            self.error(SYNTAX, f"unknown override kind {m.group('kind')!r}", line_no,
-                       _value_column(raw, value))
-            self._section_bad = True
-            return
+            return Diagnostic(SYNTAX, f"unknown override kind {m.group('kind')!r}", line_no,
+                              _value_column(raw, value))
         try:
-            override = ComponentOverride(
-                block=block,
-                kind=kind,
-                quantity=float(m.group("qty")),
-                unit=m.group("unit"),
-                factor_key=m.group("factor"),
-            )
+            section.overrides.append(ComponentOverride(
+                block, kind, float(m.group("qty")), m.group("unit"), m.group("factor")))
         except InvalidProfile as exc:
-            self.error(SYNTAX, str(exc), line_no, _value_column(raw, value))
-            self._section_bad = True
-            return
-        self._overrides.append(override)
+            return Diagnostic(SYNTAX, str(exc), line_no, _value_column(raw, value))
+        return None
+    try:
+        level = HSL.from_key(value)
+    except KeyError:
+        return Diagnostic(UNKNOWN_LEVEL, f"unknown level {value!r}", line_no,
+                          _value_column(raw, value))
+    if block in section.levels:
+        return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already assigned on line "
+                          f"{section.levels[block][1]}", line_no)
+    if not is_valid_cell(block, level):
+        return Diagnostic(FORBIDDEN_COMBINATION, f"{block.key} cannot be assigned {level.key}",
+                          line_no, _value_column(raw, value))
+    section.levels[block] = (level, line_no)
+    return None
 
-    def _close_section(self):
-        if self._name is not None:
-            missing = [b for b in FunctionalBlock if b not in self._assignments]
-            if missing:
-                self.error(
-                    MISSING_BLOCK,
-                    f"profile {self._name!r} misses blocks: "
-                    + ", ".join(b.key for b in missing),
-                    self._name_line,
-                )
-            elif not self._section_bad:
-                self.profiles.append(
-                    HardwareProfile(
-                        name=self._name,
-                        assignments={b: lv for b, (lv, _) in self._assignments.items()},
-                        overrides=tuple(self._overrides),
-                    )
-                )
-        self._name = None
-        self._assignments = {}
-        self._overrides = []
-        self._section_bad = False
+
+def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
+           profiles: List[HardwareProfile]) -> None:
+    """Report the blocks a named section misses, or keep its profile if it is clean."""
+    if section is None or section.name is None:
+        return
+    missing = [b.key for b in FunctionalBlock if b not in section.levels]
+    if missing:
+        diagnostics.append(Diagnostic(
+            MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
+            section.line))
+    elif not section.bad:
+        levels = {b: level for b, (level, _) in section.levels.items()}
+        profiles.append(HardwareProfile(section.name, levels, section.overrides))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
     """Parse leniently: returns the document built from clean profiles plus
-    every diagnostic found, in document order."""
-    p = _Parser(text).run()
-    doc = ProfileDocument(
-        format_version=p.format_version,
-        profiles=tuple(p.profiles),
-        annotations=p.annotations,
-    )
-    return doc, p.diagnostics
+    every diagnostic found, in document order. A section's `missing-block`
+    follows its other diagnostics; entries under an empty or duplicate
+    header are skipped."""
+    diagnostics: List[Diagnostic] = []
+    profiles: List[HardwareProfile] = []
+    annotations: Dict[str, str] = {}
+    format_version = SUPPORTED_FORMAT_VERSION
+    header_lines: Dict[str, int] = {}
+    section: Optional[_Section] = None  # None before the first header
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _SECTION_RE.match(line)
+        if m:
+            _close(section, diagnostics, profiles)
+            name = m.group("name").strip()
+            if not name:
+                diagnostics.append(Diagnostic(SYNTAX, "empty profile name", line_no))
+                name = None
+            elif name in header_lines:
+                diagnostics.append(Diagnostic(
+                    DUPLICATE_PROFILE_NAME,
+                    f"profile name {name!r} already used on line {header_lines[name]}", line_no))
+                name = None
+            else:
+                header_lines[name] = line_no
+            section = _Section(name, line_no)
+            continue
+        m = _KEYVAL_RE.match(line)
+        if not m:
+            diagnostics.append(Diagnostic(SYNTAX, f"expected 'key = value', got {line!r}", line_no))
+            continue
+        key, value = m.group("key").strip(), m.group("value").strip()
+        if section is not None:
+            if section.name is not None:
+                diagnostic = _section_entry(section, key, value, line_no, raw)
+                if diagnostic is not None:
+                    diagnostics.append(diagnostic)
+                    section.bad = True
+        elif key == "format_version":
+            try:
+                format_version = int(value)
+            except ValueError:
+                diagnostics.append(Diagnostic(
+                    SYNTAX, f"format_version must be an integer, got {value!r}", line_no,
+                    _value_column(raw, value)))
+                continue
+            if format_version != SUPPORTED_FORMAT_VERSION:
+                diagnostics.append(Diagnostic(
+                    UNSUPPORTED_VERSION, f"format_version {format_version} unsupported "
+                    f"(supported: {SUPPORTED_FORMAT_VERSION})", line_no, _value_column(raw, value)))
+        elif key.startswith("annotation."):
+            annotations[key[len("annotation."):]] = value
+        else:
+            diagnostics.append(Diagnostic(
+                SYNTAX, f"unexpected key {key!r} before first profile section", line_no))
+    _close(section, diagnostics, profiles)
+    return ProfileDocument(format_version, tuple(profiles), annotations), diagnostics
 
 
 def parse_profiles(text: str) -> ProfileDocument:
@@ -280,23 +233,44 @@ def load_profiles(path) -> ProfileDocument:
         return parse_profiles(fh.read())
 
 
+def _carried(text: str, what: str, fits: bool) -> None:
+    """Raise InvalidProfile unless one `.iotprof` line can hold `text`
+    unchanged: `fits`, no `#` and no line break."""
+    if not fits or "#" in text or "".join(text.splitlines()) != text:
+        raise InvalidProfile(f"{what} {text!r} cannot be written to a profile file")
+
+
 def render_profiles(document: ProfileDocument) -> str:
-    """Deterministic rendering; reparsing yields an equal document."""
+    """Deterministic rendering; reparsing yields an equal document.
+
+    Raises InvalidProfile for what the grammar cannot carry: a profile name
+    that is empty, has outer whitespace or a `]`; an annotation key with
+    trailing whitespace or a `=`; an annotation value with outer
+    whitespace; a factor key that is empty or has whitespace; any of these
+    with a `#` or a line break; a non-finite override quantity.
+    """
     lines = [f"format_version = {document.format_version}"]
-    for key in sorted(document.annotations):
-        lines.append(f"annotation.{key} = {document.annotations[key]}")
+    for key, value in sorted(document.annotations.items()):
+        _carried(key, "annotation key", "=" not in key and key == key.rstrip())
+        _carried(value, "annotation value", value == value.strip())
+        lines.append(f"annotation.{key} = {value}")
     for profile in document.profiles:
+        name = profile.name
+        _carried(name, "profile name", name != "" and name == name.strip() and "]" not in name)
         lines.append("")
-        lines.append(f"[{profile.name}]")
+        lines.append(f"[{name}]")
         for block in FunctionalBlock:
             lines.append(f"{block.key} = {profile.level_of(block).key}")
         for ov in profile.overrides:
-            qty = f"{ov.quantity:g}"
-            if float(qty) != ov.quantity:
-                qty = repr(ov.quantity)
-            lines.append(
-                f"override.{ov.block.key} = {ov.kind.value}:{qty}{ov.unit}@{ov.factor_key}"
-            )
+            factor = ov.factor_key
+            _carried(factor, "factor key", factor != "" and not any(c.isspace() for c in factor))
+            if not math.isfinite(ov.quantity):
+                raise InvalidProfile(f"override quantity {ov.quantity} cannot be written to a profile file")
+            quantity = abs(ov.quantity)  # -0.0 would render as "-0", which does not parse
+            qty = f"{quantity:g}"
+            if float(qty) != quantity:
+                qty = repr(quantity)
+            lines.append(f"override.{ov.block.key} = {ov.kind.value}:{qty}{ov.unit}@{factor}")
     return "\n".join(lines) + "\n"
 
 

@@ -295,16 +295,12 @@ def parse_scenarios(text: str) -> List[Scenario]:
             nums = [float(f) for f in fields[1:]]
         except ValueError:
             raise FactorParseError(f"malformed row {fields!r}", line_no, 1) from None
-        alpha, psi = nums[0], nums[1]
-        scenarios.append(
-            Scenario(
-                name=name,
-                alpha=alpha,
-                psi=psi,
-                d_simple=EmissionTriple(*nums[2:5]),
-                d_complex=EmissionTriple(*nums[5:8]),
-            )
-        )
+        try:
+            scenarios.append(Scenario(
+                name=name, alpha=nums[0], psi=nums[1],
+                d_simple=EmissionTriple(*nums[2:5]), d_complex=EmissionTriple(*nums[5:8])))
+        except EdgeLcaError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
     return scenarios
 
 

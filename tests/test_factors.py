@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from edgelca.errors import (
     FactorParseError,
@@ -11,14 +12,16 @@ from edgelca.errors import (
 )
 from edgelca.factors import (
     EXPECTED_CELL_COUNT,
+    EmissionFactorTable,
     UnitFactor,
+    UnitFactorRegistry,
     parse_factor_table,
     parse_unit_registry,
     serialize_factor_table,
     serialize_unit_registry,
 )
 from edgelca.projection import parse_scenarios, parse_trends
-from edgelca.model import EmissionTriple, FunctionalBlock, HSL
+from edgelca.model import EmissionTriple, FunctionalBlock, HSL, valid_levels
 
 MINIMAL_UNITS = """key,value,unit,note
 li_ion_per_kg,25,kgCO2-eq/kg,
@@ -75,6 +78,28 @@ class TestFactorTable:
         )
         with pytest.raises(InvalidOrdering):
             parse_factor_table(text)
+
+    @pytest.mark.parametrize("cell", ["2.31,3.13,inf", "inf,inf,inf"])
+    def test_nonfinite_cell_names_its_line(self, table, cell):
+        text = serialize_factor_table(table).replace(
+            "processing,hsl3,2.31,3.13,3.98", "processing,hsl3," + cell
+        )
+        line = text.splitlines().index("processing,hsl3," + cell) + 1
+        with pytest.raises(InvalidTriple, match=f"^line {line}: "):
+            parse_factor_table(text)
+
+    @given(st.lists(
+        st.lists(st.floats(min_value=-0.0, allow_infinity=False), min_size=3, max_size=3),
+        min_size=EXPECTED_CELL_COUNT, max_size=EXPECTED_CELL_COUNT,
+    ))
+    def test_serialize_roundtrip_property(self, triples):
+        keys = [(b, lv) for b in FunctionalBlock for lv in valid_levels(b)]
+        cells = {key: EmissionTriple(*sorted(t)) for key, t in zip(keys, triples)}
+        text = serialize_factor_table(EmissionFactorTable(cells))
+        reloaded = parse_factor_table(text)
+        bits = lambda cs: {k: [x.hex() for x in c.as_tuple()] for k, c in cs.items()}
+        assert bits(reloaded.cells) == bits(cells)
+        assert serialize_factor_table(reloaded) == text
 
     def test_unknown_block_fails_loudly(self, table):
         text = serialize_factor_table(table) + "antenna,hsl0,0,0,0\n"
@@ -148,18 +173,18 @@ class TestUnitRegistry:
             parse_unit_registry(text)
 
     def test_nonpositive_value_rejected(self):
-        with pytest.raises(InvalidTriple):
+        with pytest.raises(InvalidTriple, match="^line 10: "):
             parse_unit_registry(MINIMAL_UNITS + "bad_factor,0,kgCO2-eq/kg,\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_value_rejected(self, value):
         with pytest.raises(InvalidTriple):
             UnitFactor(key="k", value=float(value), unit="kgCO2-eq/kg")
-        with pytest.raises(InvalidTriple):
+        with pytest.raises(InvalidTriple, match="^line 2: "):
             parse_unit_registry(MINIMAL_UNITS.replace("li_ion_per_kg,25,", f"li_ion_per_kg,{value},"))
 
     def test_unit_outside_closed_set(self):
-        with pytest.raises(UnknownUnit):
+        with pytest.raises(UnknownUnit, match="^line 10: "):
             parse_unit_registry(MINIMAL_UNITS + "bad_factor,1,furlongs,\n")
 
     def test_extra_keys_allowed(self):
@@ -176,6 +201,22 @@ class TestUnitRegistry:
         reloaded = parse_unit_registry(text)
         assert reloaded.entries == units.entries
         assert serialize_unit_registry(reloaded) == text
+
+    @given(st.dictionaries(
+        # Fields are stripped and a line starting with `#` is a comment, so
+        # keys and notes have no outer whitespace and keys do not start with `#`.
+        st.text(alphabet='ab_ ,"#', min_size=1).filter(
+            lambda k: k == k.strip() and not k.startswith("#")),
+        st.text(alphabet='ab_ ,"#').filter(lambda n: n == n.strip()),
+        max_size=4,
+    ))
+    def test_serialize_roundtrip_property(self, units, extra):
+        entries = dict(units.entries)
+        for key, note in extra.items():
+            entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
+        registry = UnitFactorRegistry(entries)
+        text = serialize_unit_registry(registry)
+        assert parse_unit_registry(text).entries == registry.entries
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(FactorParseError, match="duplicate"):

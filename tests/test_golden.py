@@ -1,9 +1,11 @@
 """Byte-for-byte CLI outputs on the bundled inputs.
 
-Each case runs one command from the bundled profiles directory (so file
-names in the output carry no absolute path) and compares stdout, and any
-file the command writes, with the committed files under
-`fixtures/golden/`. The exit code is part of each case.
+Each case runs one command in a directory holding copies of its input
+profiles (so file names in the output carry no absolute path) and compares
+stdout, and any file the command writes, with the committed files under
+`fixtures/golden/`. The exit code is part of each case. The `dirty.iotprof`
+input exercises every diagnostic code, so `validate_dirty` pins their
+text, line, column and order.
 """
 
 from pathlib import Path
@@ -14,7 +16,8 @@ from click.testing import CliRunner
 from edgelca.cli import main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 
-GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
 
 #: name -> (arguments, exit code, file the command writes or None)
 CASES = {
@@ -22,6 +25,7 @@ CASES = {
     "estimate_jsonl": (["estimate", "use_cases.iotprof", "--format", "jsonl"], 0, None),
     "estimate_table": (["estimate", "use_cases.iotprof", "--format", "table"], 0, None),
     "validate": (["validate", "use_cases.iotprof"], 0, None),
+    "validate_dirty": (["validate", "dirty.iotprof"], 1, None),
     "sensitivity": (["sensitivity", "--series-out", "series.csv"], 0, "series.csv"),
     "project": (["project"], 0, None),
     "project_psi_alpha": (["project", "--psi", "2", "--alpha", "0.3"], 0, None),
@@ -38,6 +42,7 @@ def run_case(name, workdir):
     (workdir / "use_cases.iotprof").write_bytes(
         example_profile_path("use_cases").read_bytes()
     )
+    (workdir / "dirty.iotprof").write_bytes((FIXTURES / "dirty.iotprof").read_bytes())
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
         mp.delenv(DATA_DIR_ENV, raising=False)

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from edgelca.errors import ProfileParseError
+from edgelca.errors import InvalidProfile, ProfileParseError
 from edgelca.estimator import evaluate_profile
 from edgelca.model import (
     OVERRIDE_QUANTITY_UNITS,
@@ -54,6 +55,8 @@ def read(name):
 
 
 NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
+#: Plain names, or arbitrary text that the renderer may have to refuse.
+TEXTS = st.one_of(NAMES, st.text(max_size=8))
 
 
 @st.composite
@@ -63,9 +66,9 @@ def overrides(draw):
     return ComponentOverride(
         block=draw(st.sampled_from(FunctionalBlock)),
         kind=kind,
-        quantity=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+        quantity=draw(st.one_of(st.just(-0.0), st.floats(min_value=0.0))),
         unit=draw(st.sampled_from(units + tuple(u.upper() for u in units))),
-        factor_key=draw(NAMES),
+        factor_key=draw(TEXTS),
     )
 
 
@@ -77,9 +80,9 @@ def documents(draw):
             assignments={b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
             overrides=tuple(draw(st.lists(overrides(), max_size=3))),
         )
-        for name in draw(st.lists(NAMES, unique=True, max_size=3))
+        for name in draw(st.lists(TEXTS, unique=True, max_size=3))
     )
-    annotations = draw(st.dictionaries(NAMES, NAMES, max_size=2))
+    annotations = draw(st.dictionaries(TEXTS, TEXTS, max_size=2))
     return ProfileDocument(format_version=1, profiles=profiles, annotations=annotations)
 
 
@@ -128,6 +131,21 @@ class TestParsing:
         assert d.line == 7  # memory assignment in the fixture
         assert d.column > 1
 
+    @pytest.mark.parametrize(
+        "text, code, position",
+        [
+            ("[p]\nmemory = mem\n", UNKNOWN_LEVEL, (2, 10)),
+            ("[p]\npcb = pcb\n", UNKNOWN_LEVEL, (2, 7)),
+            ("[p]\noverride.pcb = pcb\n", SYNTAX, (2, 16)),
+            ("[p]\n  security = hsl3  # hsl3\n", FORBIDDEN_COMBINATION, (2, 14)),
+            ("[p]\nmemory =\n", UNKNOWN_LEVEL, (2, 9)),
+            ("format_version = format\n", SYNTAX, (1, 18)),
+        ],
+    )
+    def test_value_column_counts_from_after_equals(self, text, code, position):
+        _, diagnostics = validate_profiles(text)
+        assert (diagnostics[0].code, diagnostics[0].line, diagnostics[0].column) == (code, *position)
+
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)
         assert str(d) == "3:9: syntax: boom"
@@ -174,6 +192,7 @@ class TestRoundTrip:
             (OverrideKind.MASS_SCALED, 48.0, "g", "48g"),
             (OverrideKind.UNIT_COUNT, 1e20, "u", "1e+20u"),
             (OverrideKind.MEMORY_CAPACITY, 2.5e-7, "GB", "2.5e-07GB"),
+            (OverrideKind.MASS_SCALED, -0.0, "g", "0g"),
         ],
     )
     def test_override_quantity_round_trips(self, kind, quantity, unit, text):
@@ -186,6 +205,49 @@ class TestRoundTrip:
 
     @given(documents())
     def test_render_parse_identity_property(self, doc):
+        try:
+            rendered = render_profiles(doc)
+        except InvalidProfile:
+            return
+        assert parse_profiles(rendered) == doc
+
+    @pytest.mark.parametrize(
+        "name, annotations, factor_key, quantity",
+        [
+            ("a#b", {}, "k", 1.0),
+            (" p", {}, "k", 1.0),
+            ("", {}, "k", 1.0),
+            ("a]b", {}, "k", 1.0),
+            ("a\nb", {}, "k", 1.0),
+            ("p", {"k": "v # x"}, "k", 1.0),
+            ("p", {"k ": "v"}, "k", 1.0),
+            ("p", {"k=v": "v"}, "k", 1.0),
+            ("p", {}, "li#x", 1.0),
+            ("p", {}, "l i", 1.0),
+            ("p", {}, "k", math.inf),
+        ],
+    )
+    def test_render_refuses_text_the_grammar_cannot_carry(
+        self, name, annotations, factor_key, quantity
+    ):
+        override = ComponentOverride(
+            FunctionalBlock.MEMORY, OverrideKind.MASS_SCALED, quantity, "g", factor_key
+        )
+        levels = HardwareProfile.uniform(name, HSL.HSL1).assignments
+        doc = ProfileDocument(1, (HardwareProfile(name, levels, (override,)),), annotations)
+        with pytest.raises(InvalidProfile, match="cannot be written"):
+            render_profiles(doc)
+
+    def test_render_keeps_text_the_grammar_carries(self):
+        override = ComponentOverride(
+            FunctionalBlock.MEMORY, OverrideKind.MASS_SCALED, 1.0, "g", "a@b=[c]"
+        )
+        levels = HardwareProfile.uniform("p", HSL.HSL1).assignments
+        doc = ProfileDocument(
+            1,
+            (HardwareProfile("[a b=c", levels, (override,)),),
+            {" k.x[": "v = w]", "": ""},
+        )
         assert parse_profiles(render_profiles(doc)) == doc
 
 
@@ -243,6 +305,13 @@ class TestReportRendering:
         rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
         assert [row[0] for row in rows[1:]] == [name] * 13
         assert all(len(row) == 6 for row in rows)
+
+    @given(st.text(alphabet=st.characters(blacklist_characters="\x00")))
+    def test_csv_name_reads_back_property(self, table, units, name):
+        # csv.reader before Python 3.11 rejects NUL.
+        report = evaluate_profile(HardwareProfile.uniform(name, HSL.HSL1), table, units)
+        rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
+        assert [row[0] for row in rows[1:]] == [name] * 13
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):

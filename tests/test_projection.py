@@ -298,6 +298,15 @@ class TestParsing:
         assert scenarios["sc2_revised"].psi == 2.0
         assert scenarios["sc3"].d_complex == EmissionTriple(16.62, 30.47, 47.41)
 
+    @pytest.mark.parametrize("row", [
+        "a,0.5,inf,0.3,0.96,1.33,16.62,30.47,47.41",
+        "a,0.5,1,0.3,0.96,inf,16.62,30.47,47.41",
+    ])
+    def test_bad_scenario_cell_names_its_line(self, row):
+        header = "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up\n"
+        with pytest.raises(EdgeLcaError, match="^line 3: "):
+            parse_scenarios(header + "# note\n" + row + "\n")
+
     def test_duplicate_scenario(self):
         header = "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up\n"
         row = "a,0.5,1,0.3,0.96,1.33,16.62,30.47,47.41\n"
