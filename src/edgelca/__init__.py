@@ -4,12 +4,7 @@ projections."""
 
 from .errors import EdgeLcaError
 from .estimator import EvaluationReport, batch_evaluate, evaluate_profile
-from .factors import (
-    EmissionFactorTable,
-    UnitFactorRegistry,
-    load_factor_table,
-    load_unit_registry,
-)
+from .factors import EmissionFactorTable, UnitFactorRegistry
 from .model import (
     ComponentOverride,
     EmissionTriple,
@@ -58,8 +53,6 @@ __all__ = [
     "evaluate_profile",
     "extrapolate",
     "level_series",
-    "load_factor_table",
-    "load_unit_registry",
     "paris_pathway",
     "parse_profiles",
     "project",

@@ -16,9 +16,9 @@ import click
 from . import defaults
 from .errors import EdgeLcaError
 from .estimator import batch_evaluate
-from .factors import load_factor_table, load_unit_registry
 from .profiles_io import (
     REPORT_FORMATS,
+    _read_text,
     load_profiles,
     render_reports,
     validate_profiles,
@@ -28,8 +28,6 @@ from .projection import (
     PARIS_START_RANGE,
     TrendKind,
     cumulative_to_annual,
-    load_scenarios,
-    load_trends,
     paris_pathway,
     pathway_csv,
     project,
@@ -61,14 +59,6 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _load_factors(path):
-    return load_factor_table(path) if path else defaults.default_factor_table()
-
-
-def _load_units(path):
-    return load_unit_registry(path) if path else defaults.default_unit_registry()
-
-
 @click.group()
 def main():
     """Cradle-to-gate carbon footprint estimation for IoT edge devices."""
@@ -88,17 +78,18 @@ def main():
 def estimate(profile_file, factors, units, fmt, out):
     """Evaluate every profile in PROFILE_FILE."""
     document = load_profiles(profile_file)
-    table = _load_factors(factors)
-    registry = _load_units(units)
+    table = defaults.default_factor_table(factors)
+    registry = defaults.default_unit_registry(units)
     reports = batch_evaluate(document.profiles, table, registry)
     _emit(render_reports(reports, fmt), out)
 
 
 @main.command()
 @click.argument("profile_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@_domain_errors
 def validate(profile_file):
     """Check PROFILE_FILE and report every diagnostic."""
-    text = Path(profile_file).read_text(encoding="utf-8")
+    text = _read_text(profile_file)
     document, diagnostics = validate_profiles(text)
     for diag in diagnostics:
         click.echo(f"{profile_file}:{diag}")
@@ -115,7 +106,7 @@ def validate(profile_file):
 @_domain_errors
 def sensitivity(factors, series_out, out):
     """Extremal profiles and spread ratio over the whole profile space."""
-    table = _load_factors(factors)
+    table = defaults.default_factor_table(factors)
     result = scan_extrema(table)
     lines = [
         f"max sum-of-up: {result.max_up_sum:.2f} kgCO2-eq",
@@ -151,14 +142,13 @@ def sensitivity(factors, series_out, out):
 @_domain_errors
 def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, out):
     """Annual MtCO2-eq/year projections for deployment scenarios."""
-    scenarios = (load_scenarios(scenarios_file) if scenarios_file
-                 else defaults.default_scenarios())
+    scenarios = defaults.default_scenarios(scenarios_file)
     if scenario_name is not None:
         scenarios = [s for s in scenarios if s.name == scenario_name]
         if not scenarios:
             raise click.BadParameter(f"unknown scenario {scenario_name!r}",
                                      param_hint="--scenario")
-    trends = load_trends(trends_file) if trends_file else defaults.default_trends()
+    trends = defaults.default_trends(trends_file)
     wanted = [source] if source else list(PROJECTION_SOURCES)
     wanted_lower = [w.lower() for w in wanted]
     annuals = []

@@ -1,10 +1,11 @@
-"""Access to the bundled default data files.
+"""Resolution and loading of the data files.
 
 The tool runs with zero setup: factors, unit registry, trends, scenarios
-and example profiles ship inside the package. The environment variable
+and example profiles ship inside the package. A path given for one file
+(the CLI's data flags) is read as is. Otherwise the environment variable
 EDGE_LCA_DATA_DIR points lookups at an alternative directory with the same
 file names; it must exist, and a file missing from it falls back to the
-bundled one. Individual CLI flags override single files.
+bundled one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 from .errors import EdgeLcaError
 from .factors import (
@@ -21,38 +22,41 @@ from .factors import (
     parse_factor_table,
     parse_unit_registry,
 )
-from .profiles_io import ProfileDocument, parse_profiles
+from .profiles_io import ProfileDocument, _read_text, parse_profiles
 from .projection import DeploymentTrend, Scenario, parse_scenarios, parse_trends
 
 DATA_DIR_ENV = "EDGE_LCA_DATA_DIR"
 
 
-def _read(name: str) -> str:
+def _read(name: str, path: Optional[Path] = None) -> str:
+    """Text of data file `name`: `path` when given, else the file of that
+    name in EDGE_LCA_DATA_DIR when there is one, else the bundled copy."""
+    if path is not None:
+        return _read_text(Path(path))
     override_dir = os.environ.get(DATA_DIR_ENV)
     if override_dir:
         directory = Path(override_dir)
         if not directory.is_dir():
             raise EdgeLcaError(f"{DATA_DIR_ENV} names no directory: {override_dir}")
-        candidate = directory / name
-        if candidate.exists():
-            return candidate.read_text(encoding="utf-8")
-    return (resources.files("edgelca") / "data" / name).read_text(encoding="utf-8")
+        if (directory / name).exists():
+            return _read_text(directory / name)
+    return _read_text(resources.files("edgelca") / "data" / name)
 
 
-def default_factor_table() -> EmissionFactorTable:
-    return parse_factor_table(_read("factors.csv"))
+def default_factor_table(path: Optional[Path] = None) -> EmissionFactorTable:
+    return parse_factor_table(_read("factors.csv", path))
 
 
-def default_unit_registry() -> UnitFactorRegistry:
-    return parse_unit_registry(_read("units.csv"))
+def default_unit_registry(path: Optional[Path] = None) -> UnitFactorRegistry:
+    return parse_unit_registry(_read("units.csv", path))
 
 
-def default_trends() -> List[DeploymentTrend]:
-    return parse_trends(_read("trends.csv"))
+def default_trends(path: Optional[Path] = None) -> List[DeploymentTrend]:
+    return parse_trends(_read("trends.csv", path))
 
 
-def default_scenarios() -> List[Scenario]:
-    return parse_scenarios(_read("scenarios.csv"))
+def default_scenarios(path: Optional[Path] = None) -> List[Scenario]:
+    return parse_scenarios(_read("scenarios.csv", path))
 
 
 def use_case_profiles() -> ProfileDocument:

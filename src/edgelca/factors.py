@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import (
+    EdgeLcaError,
     FactorParseError,
     ForbiddenCell,
     InvalidOrdering,
@@ -249,11 +250,6 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
     return EmissionFactorTable(cells=cells, metadata=TableMetadata(**meta))
 
 
-def load_factor_table(path) -> EmissionFactorTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_factor_table(fh.read())
-
-
 def serialize_factor_table(table: EmissionFactorTable) -> str:
     """Deterministic rendering; round-trips bitwise through the parser."""
     out = []
@@ -301,15 +297,21 @@ def parse_unit_registry(text: str) -> UnitFactorRegistry:
     return UnitFactorRegistry(entries=entries)
 
 
-def load_unit_registry(path) -> UnitFactorRegistry:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_unit_registry(fh.read())
-
-
 def serialize_unit_registry(registry: UnitFactorRegistry) -> str:
+    """Deterministic rendering; reparsing yields equal entries.
+
+    Fields are read back stripped, a line that starts with `#` is a comment
+    and each entry takes one line, so this raises EdgeLcaError for a key
+    that is empty, starts with `#`, has outer whitespace or a line break,
+    and for a note with outer whitespace or a line break.
+    """
     out = [",".join(UNITS_HEADER)]
     for key in sorted(registry.entries):
         e = registry.entries[key]
+        for what, text in (("key", key), ("note", e.note)):
+            if (text != text.strip() or "".join(text.splitlines()) != text
+                    or what == "key" and (not key or key.startswith("#"))):
+                raise EdgeLcaError(f"{what} {text!r} cannot be written to a unit-registry file")
         if isinstance(e.value, EmissionTriple):
             value = f"{e.value.low!r}/{e.value.typical!r}/{e.value.up!r}"
         else:

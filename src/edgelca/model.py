@@ -178,9 +178,9 @@ class ComponentOverride:
     factor_key: str
 
     def __post_init__(self):
-        if self.quantity < 0:
+        if not (0 <= self.quantity < math.inf):
             raise InvalidProfile(
-                f"override quantity must be nonnegative, got {self.quantity}"
+                f"override quantity must be nonnegative and finite, got {self.quantity}"
             )
         allowed = OVERRIDE_QUANTITY_UNITS[self.kind]
         if self.unit.lower() not in allowed:

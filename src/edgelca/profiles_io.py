@@ -16,12 +16,12 @@ line, a column and a stable error code.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidProfile, ProfileParseError
+from .errors import EdgeLcaError, InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
 from .factors import csv_field
 from .model import (
@@ -44,17 +44,6 @@ MISSING_BLOCK = "missing-block"
 FORBIDDEN_COMBINATION = "forbidden-combination"
 DUPLICATE_PROFILE_NAME = "duplicate-profile-name"
 UNSUPPORTED_VERSION = "unsupported-version"
-
-ALL_CODES = (
-    SYNTAX,
-    UNKNOWN_BLOCK,
-    UNKNOWN_LEVEL,
-    DUPLICATE_BLOCK,
-    MISSING_BLOCK,
-    FORBIDDEN_COMBINATION,
-    DUPLICATE_PROFILE_NAME,
-    UNSUPPORTED_VERSION,
-)
 
 
 @dataclass(frozen=True)
@@ -228,9 +217,17 @@ def parse_profiles(text: str) -> ProfileDocument:
     return doc
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at `path` (a Path or package resource);
+    EdgeLcaError naming the file if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeLcaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def load_profiles(path) -> ProfileDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profiles(fh.read())
+    return parse_profiles(_read_text(Path(path)))
 
 
 def _carried(text: str, what: str, fits: bool) -> None:
@@ -247,7 +244,7 @@ def render_profiles(document: ProfileDocument) -> str:
     that is empty, has outer whitespace or a `]`; an annotation key with
     trailing whitespace or a `=`; an annotation value with outer
     whitespace; a factor key that is empty or has whitespace; any of these
-    with a `#` or a line break; a non-finite override quantity.
+    with a `#` or a line break.
     """
     lines = [f"format_version = {document.format_version}"]
     for key, value in sorted(document.annotations.items()):
@@ -264,8 +261,6 @@ def render_profiles(document: ProfileDocument) -> str:
         for ov in profile.overrides:
             factor = ov.factor_key
             _carried(factor, "factor key", factor != "" and not any(c.isspace() for c in factor))
-            if not math.isfinite(ov.quantity):
-                raise InvalidProfile(f"override quantity {ov.quantity} cannot be written to a profile file")
             quantity = abs(ov.quantity)  # -0.0 would render as "-0", which does not parse
             qty = f"{quantity:g}"
             if float(qty) != quantity:

@@ -48,6 +48,13 @@ class TrendKind(Enum):
     ANNUAL = "annual"
 
 
+def _check_point(source: str, year: int, count: float) -> None:
+    if not (FIRST_YEAR <= year <= LAST_YEAR):
+        raise EdgeLcaError(f"trend {source!r}: year {year} outside [{FIRST_YEAR}, {LAST_YEAR}]")
+    if not (0 < count < math.inf):
+        raise EdgeLcaError(f"trend {source!r}: count for {year} must be > 0 and finite")
+
+
 @dataclass(frozen=True)
 class DeploymentTrend:
     """Device counts in billions per year from one market source.
@@ -67,14 +74,7 @@ class DeploymentTrend:
             raise EdgeLcaError(f"trend {self.source!r} has no points")
         points = dict(sorted(self.points.items()))
         for year, count in points.items():
-            if not (FIRST_YEAR <= year <= LAST_YEAR):
-                raise EdgeLcaError(
-                    f"trend {self.source!r}: year {year} outside [{FIRST_YEAR}, {LAST_YEAR}]"
-                )
-            if not (0 < count < math.inf):
-                raise EdgeLcaError(
-                    f"trend {self.source!r}: count for {year} must be > 0 and finite"
-                )
+            _check_point(self.source, year, count)
         if self.kind is TrendKind.CUMULATIVE:
             values = list(points.values())
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -88,12 +88,9 @@ class DeploymentTrend:
     def years(self) -> List[int]:
         return list(self.points)
 
-    def is_contiguous(self) -> bool:
-        ys = self.years
-        return all(b == a + 1 for a, b in zip(ys, ys[1:]))
-
     def _require_contiguous(self):
-        if not self.is_contiguous():
+        ys = self.years
+        if any(b != a + 1 for a, b in zip(ys, ys[1:])):
             raise EdgeLcaError(f"trend {self.source!r} has gaps between years")
 
 
@@ -201,9 +198,6 @@ class ReductionPathway:
     """Geometric emissions-reduction reference path from the start year."""
 
     start_year: int
-    start_low: float
-    start_high: float
-    annual_reduction: float
     values: Mapping[int, Tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -227,13 +221,7 @@ def paris_pathway(
         values[year] = (low, high)
         low *= keep
         high *= keep
-    return ReductionPathway(
-        start_year=PARIS_START_YEAR,
-        start_low=start_low,
-        start_high=start_high,
-        annual_reduction=PARIS_ANNUAL_REDUCTION,
-        values=values,
-    )
+    return ReductionPathway(start_year=PARIS_START_YEAR, values=values)
 
 
 # --- data files ------------------------------------------------------------
@@ -263,6 +251,10 @@ def parse_trends(text: str) -> List[DeploymentTrend]:
             extrapolated = bool(int(extra_s))
         except ValueError:
             raise FactorParseError(f"malformed row {fields!r}", line_no, 1) from None
+        try:
+            _check_point(source, year, value)
+        except EdgeLcaError as exc:
+            raise EdgeLcaError(f"line {line_no}: {exc}") from None
         key = (source, kind)
         grouped.setdefault(key, {})
         flags.setdefault(key, set())
@@ -275,11 +267,6 @@ def parse_trends(text: str) -> List[DeploymentTrend]:
         DeploymentTrend(source=src, kind=kind, points=pts, extrapolated_years=flags[(src, kind)])
         for (src, kind), pts in grouped.items()
     ]
-
-
-def load_trends(path) -> List[DeploymentTrend]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trends(fh.read())
 
 
 def parse_scenarios(text: str) -> List[Scenario]:
@@ -302,11 +289,6 @@ def parse_scenarios(text: str) -> List[Scenario]:
         except EdgeLcaError as exc:
             raise type(exc)(f"line {line_no}: {exc}") from None
     return scenarios
-
-
-def load_scenarios(path) -> List[Scenario]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenarios(fh.read())
 
 
 def projection_csv(series_list: List[ProjectionSeries]) -> str:

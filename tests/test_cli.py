@@ -5,6 +5,9 @@ from click.testing import CliRunner
 
 from edgelca.cli import main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
+from edgelca.estimator import batch_evaluate
+from edgelca.factors import EmissionFactorTable, serialize_factor_table
+from edgelca.profiles_io import parse_profiles, render_reports
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ERROR_FIXTURES = sorted(
@@ -95,6 +98,19 @@ class TestValidate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         # Diagnostics carry file, position and a stable code.
         assert f"{fixture}:" in result.output
+
+    def test_nonfinite_override_quantity_agrees_with_estimate(self, runner, tmp_path):
+        path = tmp_path / "huge.iotprof"
+        path.write_text(
+            (FIXTURES / "valid.iotprof").read_text(encoding="utf-8").replace(":48g@", ":1e999g@"),
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout.startswith(f"{path}:31:25: syntax: override quantity must be")
+        result = runner.invoke(main, ["estimate", str(path)])
+        assert result.exit_code == 1
+        assert "31:25: syntax" in result.stderr
 
 
 class TestSensitivity:
@@ -211,3 +227,165 @@ class TestDataDirOverride:
         assert result.exit_code == 1
         assert DATA_DIR_ENV in result.stderr
         assert result.stdout == ""
+
+
+DATA = example_profile_path("use_cases").parents[1]
+
+#: data flag -> (bundled file it replaces, a command that reads that file)
+DATA_FLAGS = {
+    "--factors": ("factors.csv", ["sensitivity"]),
+    "--units": ("units.csv", ["estimate", str(FIXTURES / "valid.iotprof"), "--format", "csv"]),
+    "--trends": ("trends.csv", ["project"]),
+    "--scenarios-file": ("scenarios.csv", ["project"]),
+}
+
+
+def bundled(name):
+    return (DATA / name).read_text(encoding="utf-8")
+
+
+def edited_copy(tmp_path, name, old, new):
+    """A copy of bundled `name` with `old` replaced by `new`, and the line it is on."""
+    text = bundled(name)
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return path, text[:text.index(old)].count("\n") + 1
+
+
+class TestDataFlags:
+    @pytest.fixture(autouse=True)
+    def no_data_dir(self, monkeypatch):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+
+    def test_factors_flag(self, runner, tmp_path, table, units):
+        doubled = EmissionFactorTable({k: v.scale(2.0) for k, v in table.cells.items()})
+        path = tmp_path / "doubled.csv"
+        path.write_text(serialize_factor_table(doubled), encoding="utf-8")
+        result = runner.invoke(main, ["sensitivity", "--factors", str(path)])
+        assert result.exit_code == 0
+        assert "max sum-of-up: 94.82 kgCO2-eq" in result.stdout
+        profile_file = FIXTURES / "valid.iotprof"
+        result = runner.invoke(
+            main, ["estimate", str(profile_file), "--format", "csv", "--factors", str(path)]
+        )
+        assert result.exit_code == 0
+        document = parse_profiles(profile_file.read_text(encoding="utf-8"))
+        assert result.stdout == render_reports(batch_evaluate(document.profiles, doubled, units), "csv")
+
+    def test_units_flag(self, runner, tmp_path):
+        path, _ = edited_copy(tmp_path, "units.csv", "li_ion_per_kg,25,", "li_ion_per_kg,50,")
+        result = runner.invoke(main, DATA_FLAGS["--units"][1] + ["--units", str(path)])
+        assert result.exit_code == 0
+        assert "battery_device,power_supply,override,2.40,2.40,2.40\n" in result.stdout
+        assert "battery_device,TOTAL,,2.67,2.84,3.07\n" in result.stdout
+
+    def test_scenarios_file_flag(self, runner, tmp_path):
+        path = tmp_path / "mine.csv"
+        path.write_text(
+            "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up\n"
+            "only,0.5,1,0.30,0.96,1.33,16.62,30.47,47.41\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["project", "--scenarios-file", str(path)])
+        assert result.exit_code == 0
+        sc2 = runner.invoke(main, ["project", "--scenario", "sc2"]).stdout
+        assert result.stdout == sc2.replace("\nsc2,", "\nonly,")
+
+    def test_trends_flag(self, runner, tmp_path):
+        text = bundled("trends.csv")
+        path = tmp_path / "cisco_only.csv"
+        path.write_text(
+            "".join(line for line in text.splitlines(keepends=True)
+                    if not line.startswith("Statista,")),
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["project", "--trends", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout == runner.invoke(main, ["project", "--trend", "CISCO"]).stdout
+        result = runner.invoke(main, ["project", "--trends", str(path), "--trend", "Statista"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag", sorted(DATA_FLAGS))
+    def test_flag_wins_over_data_dir(self, runner, tmp_path, monkeypatch, flag):
+        name, args = DATA_FLAGS[flag]
+        expected = runner.invoke(main, args)
+        assert expected.exit_code == 0
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / name).write_text("not,a,header\n", encoding="utf-8")
+        copy = tmp_path / name
+        copy.write_text(bundled(name), encoding="utf-8")
+        monkeypatch.setenv(DATA_DIR_ENV, str(data_dir))
+        assert runner.invoke(main, args).exit_code == 1
+        result = runner.invoke(main, args + [flag, str(copy)])
+        assert result.exit_code == 0
+        assert result.stdout == expected.stdout
+
+    def test_flag_needs_no_data_dir(self, runner, tmp_path, monkeypatch):
+        copy = tmp_path / "factors.csv"
+        copy.write_text(bundled("factors.csv"), encoding="utf-8")
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "missing"))
+        result = runner.invoke(main, ["sensitivity", "--factors", str(copy)])
+        assert result.exit_code == 0
+        assert "max sum-of-up: 47.41 kgCO2-eq" in result.stdout
+        # The unit registry is still looked up there.
+        result = runner.invoke(
+            main, ["estimate", str(FIXTURES / "valid.iotprof"), "--factors", str(copy)]
+        )
+        assert result.exit_code == 1
+        assert DATA_DIR_ENV in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("flag, old, new", [
+        ("--factors", "processing,hsl3,2.31,3.13,3.98", "processing,hsl3,2.31,3.13,inf"),
+        ("--units", "li_ion_per_kg,25,", "li_ion_per_kg,-1,"),
+        ("--trends", "CISCO,cumulative,2019,", "CISCO,quarterly,2019,"),
+        ("--trends", "CISCO,cumulative,2019,7.26,", "CISCO,cumulative,2019,inf,"),
+        ("--scenarios-file", "sc2,0.5,1,", "sc2,0.5,inf,"),
+    ])
+    def test_bad_cell_in_flag_file_names_its_line(self, runner, tmp_path, flag, old, new):
+        name, args = DATA_FLAGS[flag]
+        path, line = edited_copy(tmp_path, name, old, new)
+        result = runner.invoke(main, args + [flag, str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert f"line {line}" in result.stderr
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 gives one `error:` line naming it, exit 1."""
+
+    @pytest.fixture()
+    def latin1_profile(self, tmp_path):
+        path = tmp_path / "latin1.iotprof"
+        path.write_bytes((FIXTURES / "valid.iotprof").read_bytes().replace(b"corpus", b"caf\xe9"))
+        return path
+
+    @pytest.fixture()
+    def latin1_factors(self, tmp_path):
+        path = tmp_path / "factors.csv"
+        path.write_bytes((DATA / "factors.csv").read_bytes().replace(b"# ", b"# caf\xe9 ", 1))
+        return path
+
+    def check(self, result, path):
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {path}: not UTF-8")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_validate(self, runner, latin1_profile):
+        self.check(runner.invoke(main, ["validate", str(latin1_profile)]), latin1_profile)
+
+    def test_estimate(self, runner, latin1_profile):
+        self.check(runner.invoke(main, ["estimate", str(latin1_profile)]), latin1_profile)
+
+    def test_factors_flag(self, runner, latin1_factors):
+        result = runner.invoke(
+            main, ["estimate", str(FIXTURES / "valid.iotprof"), "--factors", str(latin1_factors)]
+        )
+        self.check(result, latin1_factors)
+
+    def test_data_dir(self, runner, latin1_factors, monkeypatch):
+        monkeypatch.setenv(DATA_DIR_ENV, str(latin1_factors.parent))
+        self.check(runner.invoke(main, ["sensitivity"]), latin1_factors)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgelca.errors import (
+    EdgeLcaError,
     FactorParseError,
     ForbiddenCell,
     InvalidOrdering,
@@ -203,20 +204,35 @@ class TestUnitRegistry:
         assert serialize_unit_registry(reloaded) == text
 
     @given(st.dictionaries(
-        # Fields are stripped and a line starting with `#` is a comment, so
-        # keys and notes have no outer whitespace and keys do not start with `#`.
-        st.text(alphabet='ab_ ,"#', min_size=1).filter(
-            lambda k: k == k.strip() and not k.startswith("#")),
-        st.text(alphabet='ab_ ,"#').filter(lambda n: n == n.strip()),
-        max_size=4,
+        st.text(alphabet='ab_ ,"#\n'), st.text(alphabet='ab_ ,"#\n'), max_size=4
     ))
     def test_serialize_roundtrip_property(self, units, extra):
         entries = dict(units.entries)
         for key, note in extra.items():
             entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
         registry = UnitFactorRegistry(entries)
-        text = serialize_unit_registry(registry)
+        try:
+            text = serialize_unit_registry(registry)
+        except EdgeLcaError:
+            return
         assert parse_unit_registry(text).entries == registry.entries
+
+    @pytest.mark.parametrize("key, note", [
+        ("", ""), ("#x", ""), (" y", ""), ("y ", ""), ("a\nb", ""), ("a\x0bb", ""),
+        ("k", " n"), ("k", "n "), ("k", "a\rb"),
+    ])
+    def test_serialize_refuses_what_it_cannot_carry(self, units, key, note):
+        entries = dict(units.entries)
+        entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
+        with pytest.raises(EdgeLcaError, match="cannot be written"):
+            serialize_unit_registry(UnitFactorRegistry(entries))
+
+    def test_serialize_keeps_what_it_can_carry(self, units):
+        entries = dict(units.entries)
+        for key, note in (("a#b", "# n"), ('"x, y"', 'a "b", c'), ("k", "")):
+            entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
+        registry = UnitFactorRegistry(entries)
+        assert parse_unit_registry(serialize_unit_registry(registry)).entries == registry.entries
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(FactorParseError, match="duplicate"):

@@ -66,7 +66,7 @@ def overrides(draw):
     return ComponentOverride(
         block=draw(st.sampled_from(FunctionalBlock)),
         kind=kind,
-        quantity=draw(st.one_of(st.just(-0.0), st.floats(min_value=0.0))),
+        quantity=draw(st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))),
         unit=draw(st.sampled_from(units + tuple(u.upper() for u in units))),
         factor_key=draw(TEXTS),
     )
@@ -146,6 +146,12 @@ class TestParsing:
         _, diagnostics = validate_profiles(text)
         assert (diagnostics[0].code, diagnostics[0].line, diagnostics[0].column) == (code, *position)
 
+    def test_nonfinite_override_quantity_is_syntax(self):
+        text = read("valid.iotprof").replace(":48g@", ":1e999g@")
+        _, diagnostics = validate_profiles(text)
+        assert [(d.code, d.line, d.column) for d in diagnostics] == [(SYNTAX, 31, 25)]
+        assert "finite" in diagnostics[0].message
+
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)
         assert str(d) == "3:9: syntax: boom"
@@ -224,7 +230,6 @@ class TestRoundTrip:
             ("p", {"k=v": "v"}, "k", 1.0),
             ("p", {}, "li#x", 1.0),
             ("p", {}, "l i", 1.0),
-            ("p", {}, "k", math.inf),
         ],
     )
     def test_render_refuses_text_the_grammar_cannot_carry(
@@ -237,6 +242,11 @@ class TestRoundTrip:
         doc = ProfileDocument(1, (HardwareProfile(name, levels, (override,)),), annotations)
         with pytest.raises(InvalidProfile, match="cannot be written"):
             render_profiles(doc)
+
+    @pytest.mark.parametrize("quantity", [math.inf, math.nan, -1.0])
+    def test_override_quantity_outside_range_rejected(self, quantity):
+        with pytest.raises(InvalidProfile, match="nonnegative and finite"):
+            ComponentOverride(FunctionalBlock.MEMORY, OverrideKind.MASS_SCALED, quantity, "g", "k")
 
     def test_render_keeps_text_the_grammar_carries(self):
         override = ComponentOverride(

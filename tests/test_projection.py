@@ -290,6 +290,17 @@ class TestParsing:
         with pytest.raises(EdgeLcaError, match="finite"):
             parse_trends(f"source,kind,year,value,extrapolated\nX,annual,2020,{count},0\n")
 
+    @pytest.mark.parametrize("row, message", [
+        ("X,cumulative,2018,inf,0", "count for 2018 must be > 0 and finite"),
+        ("X,cumulative,2018,0,0", "count for 2018 must be > 0 and finite"),
+        ("X,annual,2030,1,0", "year 2030 outside"),
+    ])
+    def test_bad_trend_point_names_its_line(self, row, message):
+        text = f"source,kind,year,value,extrapolated\n# note\n{row}\n"
+        with pytest.raises(EdgeLcaError, match=f"^line 3: trend 'X': {message}") as info:
+            parse_trends(text)
+        assert type(info.value) is EdgeLcaError
+
     def test_scenario_file(self, scenarios):
         assert set(scenarios) == {
             "sc1", "sc2", "sc3", "sc1_revised", "sc2_revised", "sc3_revised"
