@@ -42,8 +42,12 @@ class EvaluationReport:
 
     profile: HardwareProfile
     estimate: FootprintEstimate
-    applied_overrides: Tuple[Tuple[FunctionalBlock, ComponentOverride, EmissionTriple], ...] = ()
     warnings: Tuple[str, ...] = ()
+
+    @property
+    def applied_overrides(self) -> Tuple[ComponentOverride, ...]:
+        """Every override of the profile replaced its block's cell."""
+        return self.profile.overrides
 
 
 def capacity_in_gb(quantity: float, unit: str) -> float:
@@ -118,41 +122,24 @@ def evaluate_profile(
     table: EmissionFactorTable,
     units: UnitFactorRegistry,
 ) -> EvaluationReport:
-    """Per-block triples from the table, overridden where requested."""
-    by_block = {}
-    for ov in profile.overrides:
-        if ov.block in by_block:
-            raise EdgeLcaError(
-                f"profile {profile.name!r}: multiple overrides target {ov.block.key}"
-            )
-        by_block[ov.block] = ov
-
+    """Per-block triples from the table, each replaced by its block's
+    override if the profile has one."""
+    overrides = {ov.block: ov for ov in profile.overrides}
     per_block = {}
-    applied: List[Tuple[FunctionalBlock, ComponentOverride, EmissionTriple]] = []
     warnings: List[str] = []
     for block in FunctionalBlock:
         level = profile.level_of(block)
-        if block in by_block:
-            ov = by_block[block]
-            triple = apply_override(ov, units)
-            table_cell = table.lookup(block, level)
-            if level == 0 and table_cell.is_zero():
+        per_block[block] = table.lookup(block, level)
+        if block in overrides:
+            if level == 0 and per_block[block].is_zero():
                 warnings.append(
                     f"override on {block.key} replaces an absent-feature cell "
                     f"({block.key} at {level.key} is zero); check the profile"
                 )
-            applied.append((block, ov, triple))
-            per_block[block] = triple
-        else:
-            per_block[block] = table.lookup(block, level)
+            per_block[block] = apply_override(overrides[block], units)
 
     estimate = FootprintEstimate(profile_name=profile.name, per_block=per_block)
-    return EvaluationReport(
-        profile=profile,
-        estimate=estimate,
-        applied_overrides=tuple(applied),
-        warnings=tuple(warnings),
-    )
+    return EvaluationReport(profile=profile, estimate=estimate, warnings=tuple(warnings))
 
 
 def batch_evaluate(

@@ -24,15 +24,14 @@ from .errors import (
     UnknownUnit,
 )
 from .model import (
-    FORBIDDEN_CELLS,
+    CELLS,
     EmissionTriple,
     FunctionalBlock,
     HSL,
     is_valid_cell,
 )
 
-#: 12 blocks x 4 levels minus the two undefined security cells.
-EXPECTED_CELL_COUNT = 46
+EXPECTED_CELL_COUNT = len(CELLS)
 
 FACTOR_HEADER = ["block", "level", "low", "typical", "up"]
 UNITS_HEADER = ["key", "value", "unit", "note"]
@@ -79,16 +78,15 @@ class EmissionFactorTable:
 
     def __post_init__(self):
         cells = dict(self.cells)
+        defined = set(CELLS)
         for key in cells:
-            if key in FORBIDDEN_CELLS:
-                block, level = key
-                raise ForbiddenCell(f"table contains undefined cell ({block.key}, {level.key})")
-        for block in FunctionalBlock:
-            for level in HSL:
-                if is_valid_cell(block, level) and (block, level) not in cells:
-                    raise MissingCell(f"table misses cell ({block.key}, {level.key})")
-        if len(cells) != EXPECTED_CELL_COUNT:
-            raise MissingCell(f"expected {EXPECTED_CELL_COUNT} cells, got {len(cells)}")
+            if key not in defined:
+                parts = key if isinstance(key, tuple) else (key,)
+                names = ", ".join(getattr(part, "key", repr(part)) for part in parts)
+                raise ForbiddenCell(f"table contains undefined cell ({names})")
+        for block, level in CELLS:
+            if (block, level) not in cells:
+                raise MissingCell(f"table misses cell ({block.key}, {level.key})")
         object.__setattr__(self, "cells", cells)
 
     def lookup(self, block: FunctionalBlock, level: HSL) -> EmissionTriple:
@@ -100,14 +98,8 @@ class EmissionFactorTable:
 
     def column_sum(self, level: HSL) -> Tuple[float, float, float]:
         """Componentwise sum over all blocks defined at `level`."""
-        low = typ = up = 0.0
-        for block in FunctionalBlock:
-            if is_valid_cell(block, level):
-                cell = self.cells[(block, level)]
-                low += cell.low
-                typ += cell.typical
-                up += cell.up
-        return (low, typ, up)
+        column = [self.cells[cell].as_tuple() for cell in CELLS if cell[1] == level]
+        return tuple(sum(values) for values in zip(*column))
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,9 @@ class UnitFactor:
     def __post_init__(self):
         if self.unit not in REGISTRY_UNITS:
             raise UnknownUnit(f"entry {self.key!r} has unit {self.unit!r}; allowed: {sorted(REGISTRY_UNITS)}")
+        required = REQUIRED_BUILTINS.get(self.key, self.unit)
+        if self.unit != required:
+            raise UnknownUnit(f"mandatory entry {self.key!r} must have unit {required!r}, got {self.unit!r}")
         if isinstance(self.value, EmissionTriple):
             if self.value.low <= 0:
                 raise InvalidTriple(f"entry {self.key!r} must be strictly positive")
@@ -148,11 +143,9 @@ class UnitFactorRegistry:
 
     def __post_init__(self):
         entries = dict(self.entries)
-        for key, unit in REQUIRED_BUILTINS.items():
+        for key in REQUIRED_BUILTINS:
             if key not in entries:
                 raise MissingBuiltin(f"registry misses mandatory entry {key!r}")
-            if entries[key].unit != unit:
-                raise UnknownUnit(f"mandatory entry {key!r} must have unit {unit!r}, got {entries[key].unit!r}")
         object.__setattr__(self, "entries", entries)
 
     def __contains__(self, key: str) -> bool:
@@ -259,11 +252,9 @@ def serialize_factor_table(table: EmissionFactorTable) -> str:
         out.append(f"# version: {table.metadata.version}")
     out.append(f"# method: {table.metadata.method}")
     out.append(",".join(FACTOR_HEADER))
-    for block in FunctionalBlock:
-        for level in HSL:
-            if is_valid_cell(block, level):
-                c = table.cells[(block, level)]
-                out.append(f"{block.key},{level.key},{c.low!r},{c.typical!r},{c.up!r}")
+    for block, level in CELLS:
+        c = table.cells[(block, level)]
+        out.append(f"{block.key},{level.key},{c.low!r},{c.typical!r},{c.up!r}")
     return "\n".join(out) + "\n"
 
 

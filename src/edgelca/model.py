@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from .errors import InvalidProfile, InvalidTriple
 
@@ -70,19 +70,22 @@ class HSL(enum.IntEnum):
 
 _HSL_BY_KEY = {level.key: level for level in HSL}
 
-#: Security hardware only exists as a small external IC; levels 2 and 3
-#: are not defined for it.
-FORBIDDEN_CELLS = frozenset(
-    {(FunctionalBlock.SECURITY, HSL.HSL2), (FunctionalBlock.SECURITY, HSL.HSL3)}
+#: The defined (block, level) cells, in factor-table order. Security
+#: hardware only exists as a small external IC; levels 2 and 3 are not
+#: defined for it.
+CELLS = tuple(
+    (block, level) for block in FunctionalBlock for level in HSL
+    if not (block is FunctionalBlock.SECURITY and level >= HSL.HSL2)
 )
+_DEFINED = frozenset(CELLS)
 
 
 def is_valid_cell(block: FunctionalBlock, level: HSL) -> bool:
-    return (block, level) not in FORBIDDEN_CELLS
+    return (block, level) in _DEFINED
 
 
 def valid_levels(block: FunctionalBlock) -> Tuple[HSL, ...]:
-    return tuple(lv for lv in HSL if is_valid_cell(block, lv))
+    return tuple(lv for b, lv in CELLS if b is block)
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,16 @@ class HardwareProfile:
         if extra:
             raise InvalidProfile(f"profile {self.name!r} has non-block keys: {extra}")
         for block, level in self.assignments.items():
-            if not is_valid_cell(block, level):
+            if not (isinstance(level, HSL) and is_valid_cell(block, level)):
+                shown = level.key if isinstance(level, HSL) else repr(level)
                 raise InvalidProfile(
-                    f"profile {self.name!r}: {block.key} cannot be assigned {level.key}"
+                    f"profile {self.name!r}: {block.key} cannot be assigned {shown}"
                 )
+        overridden = set()
+        for ov in self.overrides:
+            if ov.block in overridden:
+                raise InvalidProfile(f"profile {self.name!r}: multiple overrides target {ov.block.key}")
+            overridden.add(ov.block)
         object.__setattr__(self, "assignments", dict(self.assignments))
         object.__setattr__(self, "overrides", tuple(self.overrides))
 
@@ -224,18 +233,9 @@ class HardwareProfile:
         return self.assignments[block]
 
     @classmethod
-    def uniform(cls, name: str, level: HSL, security_level: Optional[HSL] = None):
-        """All blocks at `level`; security capped to its highest valid level."""
-        assignments = {}
-        for block in FunctionalBlock:
-            lv = level
-            if block is FunctionalBlock.SECURITY:
-                if security_level is not None:
-                    lv = security_level
-                elif not is_valid_cell(block, level):
-                    lv = HSL.HSL1
-            assignments[block] = lv
-        return cls(name=name, assignments=assignments)
+    def uniform(cls, name: str, level: HSL):
+        """All blocks at `level`, each capped at its highest valid level."""
+        return cls(name, {b: min(level, valid_levels(b)[-1]) for b in FunctionalBlock})
 
 
 @dataclass(frozen=True)

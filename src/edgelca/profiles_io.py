@@ -85,7 +85,7 @@ class _Section:
     name: Optional[str]
     line: int
     levels: Dict[FunctionalBlock, Tuple[HSL, int]] = field(default_factory=dict)
-    overrides: List[ComponentOverride] = field(default_factory=list)
+    overrides: Dict[FunctionalBlock, Tuple[ComponentOverride, int]] = field(default_factory=dict)
     bad: bool = False
 
 
@@ -111,10 +111,14 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
             return Diagnostic(SYNTAX, f"unknown override kind {m.group('kind')!r}", line_no,
                               _value_column(raw, value))
         try:
-            section.overrides.append(ComponentOverride(
-                block, kind, float(m.group("qty")), m.group("unit"), m.group("factor")))
+            override = ComponentOverride(
+                block, kind, float(m.group("qty")), m.group("unit"), m.group("factor"))
         except InvalidProfile as exc:
             return Diagnostic(SYNTAX, str(exc), line_no, _value_column(raw, value))
+        if block in section.overrides:
+            return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already overridden on line "
+                              f"{section.overrides[block][1]}", line_no)
+        section.overrides[block] = (override, line_no)
         return None
     try:
         level = HSL.from_key(value)
@@ -143,7 +147,8 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
             section.line))
     elif not section.bad:
         levels = {b: level for b, (level, _) in section.levels.items()}
-        profiles.append(HardwareProfile(section.name, levels, section.overrides))
+        profiles.append(HardwareProfile(
+            section.name, levels, [ov for ov, _ in section.overrides.values()]))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
@@ -219,11 +224,13 @@ def parse_profiles(text: str) -> ProfileDocument:
 
 def _read_text(path) -> str:
     """The text of the UTF-8 file at `path` (a Path or package resource);
-    EdgeLcaError naming the file if it is not UTF-8."""
+    EdgeLcaError naming the file if it cannot be read or is not UTF-8."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise EdgeLcaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise EdgeLcaError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def load_profiles(path) -> ProfileDocument:
@@ -305,7 +312,7 @@ def _render_csv(reports: Sequence[EvaluationReport]) -> str:
 
 
 def _rows_with_levels(report: EvaluationReport):
-    overridden = {b for b, _, _ in report.applied_overrides}
+    overridden = {ov.block for ov in report.applied_overrides}
     for block in FunctionalBlock:
         if block in overridden:
             level = "override"

@@ -25,7 +25,7 @@ from .errors import (
     NotCumulative,
     TooFewPoints,
 )
-from .factors import read_rows
+from .factors import csv_field, read_rows
 from .model import EmissionTriple
 
 FIRST_YEAR = 2018
@@ -300,7 +300,7 @@ def projection_csv(series_list: List[ProjectionSeries]) -> str:
         psi_s = f"{int(psi)}" if psi == int(psi) else f"{psi!r}"
         for year, triple in series.values.items():
             lines.append(
-                f"{series.scenario.name},{series.source},{psi_s},{year},"
+                f"{csv_field(series.scenario.name)},{csv_field(series.source)},{psi_s},{year},"
                 f"{triple.low:.2f},{triple.typical:.2f},{triple.up:.2f}"
             )
     return "\n".join(lines) + "\n"

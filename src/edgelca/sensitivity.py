@@ -20,7 +20,6 @@ from .model import (
     FunctionalBlock,
     HSL,
     HardwareProfile,
-    is_valid_cell,
     triple_sum,
     valid_levels,
 )
@@ -102,10 +101,7 @@ def level_series(
     footprint" are different facts.
     """
     return {
-        block: [
-            table.lookup(block, level) if is_valid_cell(block, level) else None
-            for level in HSL
-        ]
+        block: [table.cells.get((block, level)) for level in HSL]
         for block in FunctionalBlock
     }
 

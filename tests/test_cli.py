@@ -1,13 +1,18 @@
+import csv
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from edgelca.cli import main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 from edgelca.estimator import batch_evaluate
 from edgelca.factors import EmissionFactorTable, serialize_factor_table
-from edgelca.profiles_io import parse_profiles, render_reports
+from edgelca.model import OVERRIDE_QUANTITY_UNITS, FunctionalBlock, OverrideKind, valid_levels
+from edgelca.profiles_io import REPORT_FORMATS, parse_profiles, render_reports
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ERROR_FIXTURES = sorted(
@@ -111,6 +116,66 @@ class TestValidate:
         result = runner.invoke(main, ["estimate", str(path)])
         assert result.exit_code == 1
         assert "31:25: syntax" in result.stderr
+
+
+    def test_second_override_of_a_block_agrees_with_estimate(self, runner, tmp_path):
+        path = tmp_path / "twice.iotprof"
+        path.write_text(
+            (FIXTURES / "valid.iotprof").read_text(encoding="utf-8")
+            + "override.power_supply = unit_count:2u@alkaline_aa_per_unit\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (f"{path}:32:1: duplicate-block: block 'power_supply' "
+                                 "already overridden on line 31\n")
+        result = runner.invoke(main, ["estimate", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "32:1: duplicate-block" in result.stderr
+
+
+#: Factor-entry unit each override kind needs.
+FACTOR_UNITS = {
+    OverrideKind.MASS_SCALED: "kgCO2-eq/kg",
+    OverrideKind.UNIT_COUNT: "kgCO2-eq/unit",
+    OverrideKind.MEMORY_CAPACITY: "kgCO2-eq/Gb",
+    OverrideKind.SOLDER_FROM_IC_AREA: "kgCO2-eq/kg",
+}
+
+
+@st.composite
+def override_lines(draw, units):
+    """`override.<block> = ...` with a registry key of the unit its kind needs."""
+    keys = {kind: sorted(k for k, e in units.entries.items() if e.unit == unit)
+            for kind, unit in FACTOR_UNITS.items()}
+    kind = draw(st.sampled_from([kind for kind in keys if keys[kind]]))
+    block = draw(st.sampled_from(FunctionalBlock))
+    quantity = draw(st.integers(min_value=0, max_value=10**6))
+    unit = draw(st.sampled_from(OVERRIDE_QUANTITY_UNITS[kind]))
+    return f"override.{block.key} = {kind.value}:{quantity}{unit}@{draw(st.sampled_from(keys[kind]))}"
+
+
+class TestValidateAgreesWithEstimate:
+    """With the bundled data files, `validate` accepts exactly what `estimate` does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(REPORT_FORMATS))
+    def test_same_exit_status(self, units, data, fmt):
+        lines = ["format_version = 1"]
+        for name in ("p0", "p1")[:data.draw(st.integers(1, 2))]:
+            lines.append(f"[{name}]")
+            lines += [f"{b.key} = {data.draw(st.sampled_from(valid_levels(b))).key}"
+                      for b in FunctionalBlock]
+            lines += data.draw(st.lists(override_lines(units), max_size=4))
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "doc.iotprof"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            validated = runner.invoke(main, ["validate", str(path)])
+            estimated = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        assert {validated.exit_code, estimated.exit_code} <= {0, 1}
+        assert validated.exit_code == estimated.exit_code, (validated.output, estimated.output)
 
 
 class TestSensitivity:
@@ -221,6 +286,14 @@ class TestDataDirOverride:
         assert result.exit_code == 0
         assert "max sum-of-up: 94.82 kgCO2-eq" in result.output
 
+    def test_env_var_entry_that_is_a_directory_exits_one(self, runner, tmp_path, monkeypatch):
+        (tmp_path / "factors.csv").mkdir()
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        result = runner.invoke(main, ["sensitivity"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {tmp_path / 'factors.csv'}: cannot read (Is a directory)\n"
+
     def test_env_var_missing_directory_exits_one(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "missing"))
         result = runner.invoke(main, ["sensitivity"])
@@ -292,6 +365,20 @@ class TestDataFlags:
         sc2 = runner.invoke(main, ["project", "--scenario", "sc2"]).stdout
         assert result.stdout == sc2.replace("\nsc2,", "\nonly,")
 
+    def test_scenario_names_are_quoted(self, runner, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up\n"
+            '"a,b",0.5,1,0.30,0.96,1.33,16.62,30.47,47.41\n'
+            '"say ""hi""",0.5,1,0.30,0.96,1.33,16.62,30.47,47.41\n',
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["project", "--scenarios-file", str(path)])
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert {len(row) for row in rows} == {7}
+        assert {row[0] for row in rows[1:]} == {"a,b", 'say "hi"'}
+
     def test_trends_flag(self, runner, tmp_path):
         text = bundled("trends.csv")
         path = tmp_path / "cisco_only.csv"
@@ -340,6 +427,7 @@ class TestDataFlags:
     @pytest.mark.parametrize("flag, old, new", [
         ("--factors", "processing,hsl3,2.31,3.13,3.98", "processing,hsl3,2.31,3.13,inf"),
         ("--units", "li_ion_per_kg,25,", "li_ion_per_kg,-1,"),
+        ("--units", "li_ion_per_kg,25,kgCO2-eq/kg,", "li_ion_per_kg,25,mm,"),
         ("--trends", "CISCO,cumulative,2019,", "CISCO,quarterly,2019,"),
         ("--trends", "CISCO,cumulative,2019,7.26,", "CISCO,cumulative,2019,inf,"),
         ("--scenarios-file", "sc2,0.5,1,", "sc2,0.5,inf,"),

@@ -236,12 +236,12 @@ class TestOverrides:
 
     def test_duplicate_override_rejected(self, table, units):
         base = HardwareProfile.uniform("dup", HSL.HSL1)
-        with_ov = HardwareProfile(
-            name="dup",
-            assignments=dict(base.assignments),
-            overrides=(self._mass(10), self._mass(20)),
-        )
         with pytest.raises(EdgeLcaError, match="multiple overrides"):
+            with_ov = HardwareProfile(
+                name="dup",
+                assignments=dict(base.assignments),
+                overrides=(self._mass(10), self._mass(20)),
+            )
             evaluate_profile(with_ov, table, units)
 
 

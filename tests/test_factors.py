@@ -65,6 +65,36 @@ class TestFactorTable:
         with pytest.raises(ForbiddenCell):
             parse_factor_table(text)
 
+    @pytest.mark.parametrize("key, shown", [
+        ((FunctionalBlock.SECURITY, HSL.HSL2), "(security, hsl2)"),
+        (("security", "hsl0"), "('security', 'hsl0')"),
+        ((FunctionalBlock.SECURITY, 2), "(security, 2)"),
+        ("casing", "('casing')"),
+        ((FunctionalBlock.CASING, HSL.HSL0, HSL.HSL1), "(casing, hsl0, hsl1)"),
+    ])
+    def test_undefined_key_is_forbidden(self, table, key, shown):
+        cells = dict(table.cells)
+        cells[key] = EmissionTriple(0.1, 0.2, 0.3)
+        with pytest.raises(ForbiddenCell) as info:
+            EmissionFactorTable(cells)
+        assert str(info.value) == f"table contains undefined cell {shown}"
+
+    def test_first_missing_cell_in_table_order_named(self, table):
+        cells = dict(table.cells)
+        del cells[(FunctionalBlock.TRANSPORT, HSL.HSL2)]
+        del cells[(FunctionalBlock.CASING, HSL.HSL3)]
+        with pytest.raises(MissingCell, match=r"^table misses cell \(casing, hsl3\)$"):
+            EmissionFactorTable(cells)
+
+    def test_column_sum_matches_cells(self, table):
+        for level in HSL:
+            column = [table.cells[(b, level)] for b in FunctionalBlock if level in valid_levels(b)]
+            assert table.column_sum(level) == (
+                sum(c.low for c in column),
+                sum(c.typical for c in column),
+                sum(c.up for c in column),
+            )
+
     def test_missing_cell(self, table):
         lines = [
             ln for ln in serialize_factor_table(table).splitlines()

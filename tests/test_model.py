@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from edgelca.errors import InvalidProfile, InvalidTriple
 from edgelca.model import (
+    CELLS,
+    ComponentOverride,
     EmissionTriple,
     FunctionalBlock,
     HSL,
     HardwareProfile,
+    OverrideKind,
     ZERO_TRIPLE,
     is_valid_cell,
     triple_sum,
@@ -45,6 +48,13 @@ class TestEnums:
         assert not is_valid_cell(FunctionalBlock.SECURITY, HSL.HSL2)
         assert not is_valid_cell(FunctionalBlock.SECURITY, HSL.HSL3)
         assert is_valid_cell(FunctionalBlock.PROCESSING, HSL.HSL3)
+
+    def test_cells_are_the_valid_pairs_in_table_order(self):
+        pairs = [(b, lv) for b in FunctionalBlock for lv in HSL]
+        assert list(CELLS) == [cell for cell in pairs if is_valid_cell(*cell)]
+        assert len(CELLS) == 46
+        for block in FunctionalBlock:
+            assert valid_levels(block) == tuple(lv for b, lv in CELLS if b is block)
 
 
 class TestTriple:
@@ -132,6 +142,21 @@ class TestProfile:
         p = HardwareProfile.uniform("complex", HSL.HSL3)
         assert p.level_of(FunctionalBlock.SECURITY) is HSL.HSL1
         assert p.level_of(FunctionalBlock.MEMORY) is HSL.HSL3
+
+    @pytest.mark.parametrize("level", [2, "hsl1", None, 1.0])
+    def test_level_that_is_not_an_hsl_rejected(self, level):
+        assignments = self._full_assignments()
+        assignments[FunctionalBlock.MEMORY] = level
+        with pytest.raises(InvalidProfile, match=f"memory cannot be assigned {level!r}"):
+            HardwareProfile(name="p", assignments=assignments)
+
+    def test_second_override_of_a_block_rejected(self):
+        def speaker(grams):
+            return ComponentOverride(FunctionalBlock.USER_INTERFACE, OverrideKind.MASS_SCALED,
+                                     grams, "g", "ndfeb_speaker_per_kg")
+
+        with pytest.raises(InvalidProfile, match="'p': multiple overrides target user_interface"):
+            HardwareProfile("p", self._full_assignments(), (speaker(1), speaker(2)))
 
 
 def test_triple_sum_empty_is_zero():

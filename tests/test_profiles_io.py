@@ -78,7 +78,7 @@ def documents(draw):
         HardwareProfile(
             name=name,
             assignments={b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
-            overrides=tuple(draw(st.lists(overrides(), max_size=3))),
+            overrides=tuple(draw(st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block))),
         )
         for name in draw(st.lists(TEXTS, unique=True, max_size=3))
     )
@@ -151,6 +151,20 @@ class TestParsing:
         _, diagnostics = validate_profiles(text)
         assert [(d.code, d.line, d.column) for d in diagnostics] == [(SYNTAX, 31, 25)]
         assert "finite" in diagnostics[0].message
+
+    def test_second_override_of_a_block_is_duplicate_block(self):
+        text = read("valid.iotprof") + "override.power_supply = unit_count:2u@alkaline_aa_per_unit\n"
+        doc, diagnostics = validate_profiles(text)
+        assert [(d.code, d.line, d.column) for d in diagnostics] == [(DUPLICATE_BLOCK, 32, 1)]
+        assert diagnostics[0].message == "block 'power_supply' already overridden on line 31"
+        assert [p.name for p in doc.profiles] == ["sensor_node"]
+
+    @pytest.mark.parametrize("value", ["mass_scaled:48@li_ion_per_kg", "mass_scaled:1e999g@k",
+                                       "volume:1g@k"])
+    def test_malformed_second_override_is_one_syntax_diagnostic(self, value):
+        text = read("valid.iotprof") + f"override.power_supply = {value}\n"
+        _, diagnostics = validate_profiles(text)
+        assert [(d.code, d.line) for d in diagnostics] == [(SYNTAX, 32)]
 
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import math
 
 import pytest
@@ -203,6 +206,15 @@ class TestProject:
         assert lines[0] == "scenario,source,psi,year,low,typical,up"
         assert lines[1] == "sc1,CISCO,1,2018,2.24,4.54,6.89"
         assert len(lines) == 1 + 10
+
+    def test_csv_quotes_scenario_names_and_sources(self, scenarios, trends):
+        annual = dataclasses.replace(
+            cumulative_to_annual(trends[("CISCO", "cumulative")]), source='x, "y"')
+        scenario = dataclasses.replace(scenarios["sc1"], name="a,b\nc")
+        rows = list(csv.reader(io.StringIO(projection_csv([project(scenario, annual)]))))
+        assert rows[0] == ["scenario", "source", "psi", "year", "low", "typical", "up"]
+        assert rows[1] == ["a,b\nc", 'x, "y"', "1", "2018", "2.24", "4.54", "6.89"]
+        assert len(rows) == 1 + 10
 
 
 class TestPathway:
