@@ -114,13 +114,9 @@ def sensitivity(factors, series_out, out):
         f"spread ratio (exact): {result.ratio_exact:.1f}x",
         f"spread ratio (published rounding): {result.ratio_published_rounding:.1f}x",
         "max profile: " + ", ".join(
-            f"{b.key}={result.max_profile.level_of(b).key}"
-            for b in result.max_profile.assignments
-        ),
+            f"{b.key}={lv.key}" for b, lv in result.max_profile.assignments.items()),
         "min profile: " + ", ".join(
-            f"{b.key}={result.min_profile.level_of(b).key}"
-            for b in result.min_profile.assignments
-        ),
+            f"{b.key}={lv.key}" for b, lv in result.min_profile.assignments.items()),
     ]
     _emit("\n".join(lines) + "\n", out)
     if series_out is not None:

@@ -19,10 +19,10 @@ from .errors import (
 )
 from .factors import EmissionFactorTable, UnitFactor, UnitFactorRegistry
 from .model import (
+    BLOCKS,
     ComponentOverride,
     EmissionTriple,
     FootprintEstimate,
-    FunctionalBlock,
     HardwareProfile,
     OverrideKind,
 )
@@ -123,22 +123,20 @@ def evaluate_profile(
     units: UnitFactorRegistry,
 ) -> EvaluationReport:
     """Per-block triples from the table, each replaced by its block's
-    override if the profile has one."""
-    overrides = {ov.block: ov for ov in profile.overrides}
-    per_block = {}
+    override if the profile has one, in block order."""
+    triples = [row[level] for row, level in zip(table.rows, profile.levels)]
     warnings: List[str] = []
-    for block in FunctionalBlock:
-        level = profile.level_of(block)
-        per_block[block] = table.lookup(block, level)
-        if block in overrides:
-            if level == 0 and per_block[block].is_zero():
-                warnings.append(
-                    f"override on {block.key} replaces an absent-feature cell "
-                    f"({block.key} at {level.key} is zero); check the profile"
-                )
-            per_block[block] = apply_override(overrides[block], units)
+    for position, override in sorted((BLOCKS.index(ov.block), ov) for ov in profile.overrides):
+        level = profile.levels[position]
+        if level == 0 and triples[position][2] == 0.0:
+            key = override.block.key
+            warnings.append(
+                f"override on {key} replaces an absent-feature cell "
+                f"({key} at {level.key} is zero); check the profile"
+            )
+        triples[position] = apply_override(override, units).as_tuple()
 
-    estimate = FootprintEstimate(profile_name=profile.name, per_block=per_block)
+    estimate = FootprintEstimate(profile.name, tuple(triples))
     return EvaluationReport(profile=profile, estimate=estimate, warnings=tuple(warnings))
 
 

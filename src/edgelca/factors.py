@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     EdgeLcaError,
@@ -24,6 +24,7 @@ from .errors import (
     UnknownUnit,
 )
 from .model import (
+    BLOCKS,
     CELLS,
     EmissionTriple,
     FunctionalBlock,
@@ -71,10 +72,14 @@ class TableMetadata:
 
 @dataclass(frozen=True)
 class EmissionFactorTable:
-    """Map (block, level) -> emission triple; immutable once loaded."""
+    """Map (block, level) -> emission triple; immutable once loaded. `rows`
+    holds, per block in `BLOCKS` order, each level's (low, typical, up), or
+    None for an undefined cell."""
 
     cells: Mapping[Tuple[FunctionalBlock, HSL], EmissionTriple]
     metadata: TableMetadata = field(default_factory=TableMetadata)
+    rows: Tuple[Tuple[Optional[Tuple[float, float, float]], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = dict(self.cells)
@@ -88,13 +93,16 @@ class EmissionFactorTable:
             if (block, level) not in cells:
                 raise MissingCell(f"table misses cell ({block.key}, {level.key})")
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "rows", tuple(tuple(
+            cells[(b, lv)].as_tuple() if (b, lv) in cells else None for lv in HSL) for b in BLOCKS))
 
     def lookup(self, block: FunctionalBlock, level: HSL) -> EmissionTriple:
-        # The constructor admits exactly the valid cells, so a miss is a forbidden one.
-        try:
-            return self.cells[(block, level)]
-        except KeyError:
-            raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination") from None
+        # Only valid cells are in the table; a level that is not an HSL (7, True) is refused.
+        cell = self.cells.get((block, level)) if isinstance(level, HSL) else None
+        if cell is None:
+            shown = getattr(level, "key", repr(level))
+            raise ForbiddenCell(f"({block.key}, {shown}) is not a valid combination")
+        return cell
 
     def column_sum(self, level: HSL) -> Tuple[float, float, float]:
         """Componentwise sum over all blocks defined at `level`."""

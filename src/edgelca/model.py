@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .errors import InvalidProfile, InvalidTriple
 
@@ -35,6 +35,9 @@ class FunctionalBlock(enum.Enum):
     TRANSPORT = "transport"
     USER_INTERFACE = "user_interface"
 
+    # Members are compared by identity; unlike Enum's, this hash runs no Python code.
+    __hash__ = object.__hash__
+
     @property
     def key(self) -> str:
         """Lower-snake-case identifier used in data files."""
@@ -43,9 +46,14 @@ class FunctionalBlock(enum.Enum):
     @classmethod
     def from_key(cls, key: str) -> "FunctionalBlock":
         try:
-            return cls(key.strip().lower())
-        except ValueError:
+            return _BLOCK_BY_KEY[key.strip().lower()]
+        except KeyError:
             raise KeyError(f"unknown functional block {key!r}") from None
+
+
+#: Profiles and estimates store one entry per block, in this order.
+BLOCKS = tuple(FunctionalBlock)
+_BLOCK_BY_KEY = {block.value: block for block in BLOCKS}
 
 
 class HSL(enum.IntEnum):
@@ -74,7 +82,7 @@ _HSL_BY_KEY = {level.key: level for level in HSL}
 #: hardware only exists as a small external IC; levels 2 and 3 are not
 #: defined for it.
 CELLS = tuple(
-    (block, level) for block in FunctionalBlock for level in HSL
+    (block, level) for block in BLOCKS for level in HSL
     if not (block is FunctionalBlock.SECURITY and level >= HSL.HSL2)
 )
 _DEFINED = frozenset(CELLS)
@@ -126,22 +134,30 @@ class EmissionTriple:
     def as_tuple(self) -> Tuple[float, float, float]:
         return (self.low, self.typical, self.up)
 
-    def is_zero(self) -> bool:
-        return self.up == 0.0
-
 
 ZERO_TRIPLE = EmissionTriple(0.0, 0.0, 0.0)
 
 
+def _sum(triples) -> EmissionTriple:
+    """Componentwise sum of (low, typical, up) tuples, added left to right
+    from 0.0. Not `sum()`, which compensates on Python 3.12 and so would
+    make totals depend on the interpreter."""
+    low = typical = up = 0.0
+    for lo, typ, hi in triples:
+        low += lo
+        typical += typ
+        up += hi
+    return EmissionTriple(low, typical, up)
+
+
 def triple_sum(triples) -> EmissionTriple:
-    total = ZERO_TRIPLE
-    for t in triples:
-        total = total + t
-    return total
+    return _sum(t.as_tuple() for t in triples)
 
 
 class OverrideKind(enum.Enum):
     """How a component-level override computes its replacement triple."""
+
+    __hash__ = object.__hash__  # as for FunctionalBlock
 
     MASS_SCALED = "mass_scaled"  # grams x per-kg factor
     UNIT_COUNT = "unit_count"  # count x per-unit factor
@@ -193,66 +209,82 @@ class ComponentOverride:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HardwareProfile:
-    """Assignment of exactly one level to each of the 12 functional blocks.
+    """Assignment of exactly one level to each of the 12 functional blocks,
+    stored as `levels` in `BLOCKS` order; the constructor also takes, and
+    `assignments` gives back, a mapping from each block to its level.
 
     A zero table cell (e.g. actuators at level 0, meaning "no actuator") is
     a valid assignment, not an error.
     """
 
     name: str
-    assignments: Mapping[FunctionalBlock, HSL]
+    levels: Tuple[HSL, ...]
     overrides: Tuple[ComponentOverride, ...] = ()
 
-    def __post_init__(self):
-        missing = [b for b in FunctionalBlock if b not in self.assignments]
-        if missing:
-            raise InvalidProfile(
-                f"profile {self.name!r} misses blocks: "
-                + ", ".join(b.key for b in missing)
-            )
-        extra = [b for b in self.assignments if not isinstance(b, FunctionalBlock)]
-        if extra:
-            raise InvalidProfile(f"profile {self.name!r} has non-block keys: {extra}")
-        for block, level in self.assignments.items():
-            if not (isinstance(level, HSL) and is_valid_cell(block, level)):
+    def __init__(self, name: str,
+                 assignments: Union[Mapping[FunctionalBlock, HSL], Tuple[HSL, ...]],
+                 overrides: Sequence[ComponentOverride] = ()):
+        if not isinstance(assignments, tuple):
+            missing = [b for b in BLOCKS if b not in assignments]
+            if missing:
+                missing = ", ".join(b.key for b in missing)
+                raise InvalidProfile(f"profile {name!r} misses blocks: {missing}")
+            extra = [b for b in assignments if not isinstance(b, FunctionalBlock)]
+            if extra:
+                raise InvalidProfile(f"profile {name!r} has non-block keys: {extra}")
+            assignments = tuple(assignments[b] for b in BLOCKS)
+        if len(assignments) != len(BLOCKS):
+            raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(assignments)}")
+        for block, level in zip(BLOCKS, assignments):
+            if not (isinstance(level, HSL) and (block, level) in _DEFINED):
                 shown = level.key if isinstance(level, HSL) else repr(level)
-                raise InvalidProfile(
-                    f"profile {self.name!r}: {block.key} cannot be assigned {shown}"
-                )
+                raise InvalidProfile(f"profile {name!r}: {block.key} cannot be assigned {shown}")
         overridden = set()
-        for ov in self.overrides:
+        for ov in overrides:
             if ov.block in overridden:
-                raise InvalidProfile(f"profile {self.name!r}: multiple overrides target {ov.block.key}")
+                raise InvalidProfile(f"profile {name!r}: multiple overrides target {ov.block.key}")
             overridden.add(ov.block)
-        object.__setattr__(self, "assignments", dict(self.assignments))
-        object.__setattr__(self, "overrides", tuple(self.overrides))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "levels", assignments)
+        object.__setattr__(self, "overrides", tuple(overrides))
+
+    @property
+    def assignments(self) -> Dict[FunctionalBlock, HSL]:
+        return dict(zip(BLOCKS, self.levels))
 
     def level_of(self, block: FunctionalBlock) -> HSL:
-        return self.assignments[block]
+        return self.levels[BLOCKS.index(block)]
 
     @classmethod
     def uniform(cls, name: str, level: HSL):
         """All blocks at `level`, each capped at its highest valid level."""
-        return cls(name, {b: min(level, valid_levels(b)[-1]) for b in FunctionalBlock})
+        if not isinstance(level, HSL):
+            raise InvalidProfile(f"profile {name!r}: {level!r} is not a hardware specification level")
+        return cls(name, tuple(min(level, valid_levels(b)[-1]) for b in BLOCKS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FootprintEstimate:
-    """Per-block emission triples plus their componentwise total."""
+    """Per-block emission triples plus their componentwise total, stored as
+    one (low, typical, up) tuple per block in `BLOCKS` order; the constructor
+    also takes, and `per_block` gives back, a mapping to EmissionTriples."""
 
     profile_name: str
-    per_block: Mapping[FunctionalBlock, EmissionTriple]
-    total: EmissionTriple = field(init=False)
+    triples: Tuple[Tuple[float, float, float], ...]
+    total: EmissionTriple
 
-    def __post_init__(self):
-        blocks = set(self.per_block)
-        if blocks != set(FunctionalBlock):
-            raise InvalidProfile(
-                f"estimate for {self.profile_name!r} must cover all 12 blocks"
-            )
-        object.__setattr__(self, "per_block", dict(self.per_block))
-        object.__setattr__(
-            self, "total", triple_sum(self.per_block[b] for b in FunctionalBlock)
-        )
+    def __init__(self, profile_name: str, per_block: Union[
+            Mapping[FunctionalBlock, EmissionTriple], Tuple[Tuple[float, float, float], ...]]):
+        if not isinstance(per_block, tuple) and set(per_block) == set(BLOCKS):
+            per_block = tuple(per_block[b].as_tuple() for b in BLOCKS)
+        if not isinstance(per_block, tuple) or len(per_block) != len(BLOCKS):
+            raise InvalidProfile(f"estimate for {profile_name!r} must cover all 12 blocks")
+        object.__setattr__(self, "profile_name", profile_name)
+        object.__setattr__(self, "triples", per_block)
+        object.__setattr__(self, "total", _sum(per_block))
+
+    @property
+    def per_block(self) -> Dict[FunctionalBlock, EmissionTriple]:
+        return {b: EmissionTriple(*t) for b, t in zip(BLOCKS, self.triples)}

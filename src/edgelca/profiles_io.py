@@ -25,12 +25,13 @@ from .errors import EdgeLcaError, InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
 from .factors import csv_field
 from .model import (
+    BLOCKS,
     ComponentOverride,
     FunctionalBlock,
     HSL,
     HardwareProfile,
     OverrideKind,
-    is_valid_cell,
+    valid_levels,
 )
 
 SUPPORTED_FORMAT_VERSION = 1
@@ -65,11 +66,15 @@ class ProfileDocument:
 
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[^\]]*)\]\s*$")
-_KEYVAL_RE = re.compile(r"^(?P<key>[^=\s][^=]*?)\s*=\s*(?P<value>.*)$")
 _OVERRIDE_RE = re.compile(
     r"^(?P<kind>[a-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
 )
+
+#: Keyed by lower-cased key, as FunctionalBlock.from_key and HSL.from_key look up.
+_POSITIONS = {block.key: position for position, block in enumerate(BLOCKS)}
+_LEVELS = {level.key: level for level in HSL}
+_VALID_LEVELS = tuple(valid_levels(block) for block in BLOCKS)
 
 
 def _value_column(raw_line: str, value: str) -> int:
@@ -80,11 +85,13 @@ def _value_column(raw_line: str, value: str) -> int:
 @dataclass
 class _Section:
     """The open `[name]` section; `name` is None under a rejected header,
-    whose entries are skipped."""
+    whose entries are skipped. `levels` and `lines` hold each block's level
+    and the line that assigned it, at the block's position in `BLOCKS`."""
 
     name: Optional[str]
     line: int
-    levels: Dict[FunctionalBlock, Tuple[HSL, int]] = field(default_factory=dict)
+    levels: List[Optional[HSL]] = field(default_factory=lambda: [None] * len(BLOCKS))
+    lines: List[int] = field(default_factory=lambda: [0] * len(BLOCKS))
     overrides: Dict[FunctionalBlock, Tuple[ComponentOverride, int]] = field(default_factory=dict)
     bad: bool = False
 
@@ -95,10 +102,10 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
     diagnostic it earns."""
     is_override = key.startswith("override.")
     block_key = key[len("override."):] if is_override else key
-    try:
-        block = FunctionalBlock.from_key(block_key)
-    except KeyError:
+    position = _POSITIONS.get(block_key.strip().lower())
+    if position is None:
         return Diagnostic(UNKNOWN_BLOCK, f"unknown functional block {block_key!r}", line_no)
+    block = BLOCKS[position]
     if is_override:
         m = _OVERRIDE_RE.match(value)
         if not m:
@@ -120,18 +127,18 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
                               f"{section.overrides[block][1]}", line_no)
         section.overrides[block] = (override, line_no)
         return None
-    try:
-        level = HSL.from_key(value)
-    except KeyError:
+    level = _LEVELS.get(value.lower())
+    if level is None:
         return Diagnostic(UNKNOWN_LEVEL, f"unknown level {value!r}", line_no,
                           _value_column(raw, value))
-    if block in section.levels:
+    if section.lines[position]:
         return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already assigned on line "
-                          f"{section.levels[block][1]}", line_no)
-    if not is_valid_cell(block, level):
+                          f"{section.lines[position]}", line_no)
+    if level not in _VALID_LEVELS[position]:
         return Diagnostic(FORBIDDEN_COMBINATION, f"{block.key} cannot be assigned {level.key}",
                           line_no, _value_column(raw, value))
-    section.levels[block] = (level, line_no)
+    section.levels[position] = level
+    section.lines[position] = line_no
     return None
 
 
@@ -140,15 +147,14 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
     """Report the blocks a named section misses, or keep its profile if it is clean."""
     if section is None or section.name is None:
         return
-    missing = [b.key for b in FunctionalBlock if b not in section.levels]
-    if missing:
+    if None in section.levels:
+        missing = [b.key for b, level in zip(BLOCKS, section.levels) if level is None]
         diagnostics.append(Diagnostic(
             MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
             section.line))
     elif not section.bad:
-        levels = {b: level for b, (level, _) in section.levels.items()}
         profiles.append(HardwareProfile(
-            section.name, levels, [ov for ov, _ in section.overrides.values()]))
+            section.name, tuple(section.levels), [ov for ov, _ in section.overrides.values()]))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
@@ -166,7 +172,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
+        m = _SECTION_RE.match(line) if line[0] == "[" else None
         if m:
             _close(section, diagnostics, profiles)
             name = m.group("name").strip()
@@ -182,11 +188,11 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
                 header_lines[name] = line_no
             section = _Section(name, line_no)
             continue
-        m = _KEYVAL_RE.match(line)
-        if not m:
+        key, equals, value = line.partition("=")
+        if not (equals and key):
             diagnostics.append(Diagnostic(SYNTAX, f"expected 'key = value', got {line!r}", line_no))
             continue
-        key, value = m.group("key").strip(), m.group("value").strip()
+        key, value = key.rstrip(), value.strip()
         if section is not None:
             if section.name is not None:
                 diagnostic = _section_entry(section, key, value, line_no, raw)
@@ -263,8 +269,8 @@ def render_profiles(document: ProfileDocument) -> str:
         _carried(name, "profile name", name != "" and name == name.strip() and "]" not in name)
         lines.append("")
         lines.append(f"[{name}]")
-        for block in FunctionalBlock:
-            lines.append(f"{block.key} = {profile.level_of(block).key}")
+        for block, level in zip(BLOCKS, profile.levels):
+            lines.append(f"{block.key} = {level.key}")
         for ov in profile.overrides:
             factor = ov.factor_key
             _carried(factor, "factor key", factor != "" and not any(c.isspace() for c in factor))
@@ -303,41 +309,39 @@ def _render_csv(reports: Sequence[EvaluationReport]) -> str:
     lines = [_CSV_HEADER]
     for report in reports:
         name = csv_field(report.estimate.profile_name)
-        for block_key, level, triple in _rows_with_levels(report):
-            lines.append(
-                f"{name},{block_key},{level},"
-                f"{triple.low:.2f},{triple.typical:.2f},{triple.up:.2f}"
-            )
+        for block, level, (low, typical, up) in _rows(report):
+            lines.append(f"{name},{block},{level},{low:.2f},{typical:.2f},{up:.2f}")
     return "\n".join(lines) + "\n"
 
 
-def _rows_with_levels(report: EvaluationReport):
-    overridden = {ov.block for ov in report.applied_overrides}
-    for block in FunctionalBlock:
-        if block in overridden:
-            level = "override"
-        else:
-            level = report.profile.level_of(block).key
-        yield block.key, level, report.estimate.per_block[block]
-    yield "TOTAL", "", report.estimate.total
+_ROW_BLOCKS = tuple(block.key for block in BLOCKS) + ("TOTAL",)
+_LEVEL_KEYS = tuple(level.key for level in HSL)
+
+
+def _rows(report: EvaluationReport):
+    """(block, level column, (low, typical, up)) per block in block order,
+    then the TOTAL row, whose level column is empty."""
+    levels = [_LEVEL_KEYS[level] for level in report.profile.levels]
+    for ov in report.applied_overrides:
+        levels[BLOCKS.index(ov.block)] = "override"
+    levels.append("")
+    estimate = report.estimate
+    return zip(_ROW_BLOCKS, levels, estimate.triples + (estimate.total.as_tuple(),))
 
 
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
+    # Each line equals json.dumps of the dict {profile, block, level, low,
+    # typical, up} with separators (", ", ": "); a float's JSON form is its repr.
     lines = []
     for report in reports:
-        name = report.estimate.profile_name
-        for block_key, level, triple in _rows_with_levels(report):
-            lines.append(json.dumps(
-                {
-                    "profile": name,
-                    "block": block_key,
-                    "level": level or None,
-                    "low": round(triple.low, 2),
-                    "typical": round(triple.typical, 2),
-                    "up": round(triple.up, 2),
-                },
-                separators=(", ", ": "),
-            ))
+        name = json.dumps(report.estimate.profile_name)
+        for block, level, (low, typical, up) in _rows(report):
+            level = f'"{level}"' if level else "null"
+            lines.append(
+                f'{{"profile": {name}, "block": "{block}", "level": {level}, '
+                f'"low": {round(low, 2)!r}, "typical": {round(typical, 2)!r}, '
+                f'"up": {round(up, 2)!r}}}'
+            )
     return ("\n".join(lines) + "\n") if lines else ""
 
 
@@ -346,11 +350,8 @@ def _render_table(reports: Sequence[EvaluationReport]) -> str:
     for report in reports:
         lines = [f"profile: {report.estimate.profile_name}"]
         lines.append(f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}")
-        for block_key, level, triple in _rows_with_levels(report):
-            lines.append(
-                f"{block_key:<16}{level:<10}"
-                f"{triple.low:>8.2f}{triple.typical:>9.2f}{triple.up:>8.2f}"
-            )
+        for block, level, (low, typical, up) in _rows(report):
+            lines.append(f"{block:<16}{level:<10}{low:>8.2f}{typical:>9.2f}{up:>8.2f}")
         for warning in report.warnings:
             lines.append(f"warning: {warning}")
         chunks.append("\n".join(lines))

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 from .errors import ZeroTotal
 from .factors import EmissionFactorTable
 from .model import (
+    BLOCKS,
     EmissionTriple,
     FootprintEstimate,
     FunctionalBlock,
@@ -52,20 +53,12 @@ def _round_half_up(value: float, decimals: int) -> float:
 
 def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
     """Per-block greedy selection of the extremal profiles."""
-    min_assign = {}
-    max_assign = {}
-    for block in FunctionalBlock:
-        levels = valid_levels(block)
-        min_assign[block] = min(levels, key=lambda lv: table.lookup(block, lv).low)
-        max_assign[block] = max(levels, key=lambda lv: table.lookup(block, lv).up)
-    min_profile = HardwareProfile(name="framework_min", assignments=min_assign)
-    max_profile = HardwareProfile(name="framework_max", assignments=max_assign)
-    min_total = triple_sum(
-        table.lookup(b, min_assign[b]) for b in FunctionalBlock
-    )
-    max_total = triple_sum(
-        table.lookup(b, max_assign[b]) for b in FunctionalBlock
-    )
+    min_profile = HardwareProfile("framework_min", tuple(
+        min(valid_levels(b), key=lambda lv: table.lookup(b, lv).low) for b in BLOCKS))
+    max_profile = HardwareProfile("framework_max", tuple(
+        max(valid_levels(b), key=lambda lv: table.lookup(b, lv).up) for b in BLOCKS))
+    min_total = triple_sum(map(table.lookup, BLOCKS, min_profile.levels))
+    max_total = triple_sum(map(table.lookup, BLOCKS, max_profile.levels))
     min_low = min_total.low
     max_up = max_total.up
     rounded_min = _round_half_up(min_low, 1)
@@ -89,7 +82,7 @@ def block_contributions(estimate: FootprintEstimate) -> Dict[FunctionalBlock, fl
             f"estimate {estimate.profile_name!r} has zero typical total; "
             "contribution shares are undefined"
         )
-    return {b: estimate.per_block[b].typical / total for b in FunctionalBlock}
+    return {b: typical / total for b, (_, typical, _) in zip(BLOCKS, estimate.triples)}
 
 
 def level_series(

@@ -50,6 +50,14 @@ class TestFactorTable:
         with pytest.raises(ForbiddenCell):
             table.lookup(FunctionalBlock.SECURITY, HSL.HSL3)
 
+    @pytest.mark.parametrize("block", [FunctionalBlock.SECURITY, FunctionalBlock.PROCESSING])
+    @pytest.mark.parametrize("level", [7, -1, True, "hsl1", None])
+    def test_lookup_refuses_a_level_that_is_not_an_hsl(self, table, block, level):
+        # -1 must not index a row's hsl3 cell from its end.
+        with pytest.raises(ForbiddenCell) as info:
+            table.lookup(block, level)
+        assert str(info.value) == f"({block.key}, {level!r}) is not a valid combination"
+
     def test_metadata(self, table):
         assert table.metadata.method == "ReCiPe 2016 v1.1 (H)"
         assert table.metadata.version == "1"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from edgelca.model import (
     CELLS,
     ComponentOverride,
     EmissionTriple,
+    FootprintEstimate,
     FunctionalBlock,
     HSL,
     HardwareProfile,
@@ -150,6 +152,25 @@ class TestProfile:
         with pytest.raises(InvalidProfile, match=f"memory cannot be assigned {level!r}"):
             HardwareProfile(name="p", assignments=assignments)
 
+    @pytest.mark.parametrize("level", [7, 2, -1, True, "hsl1", None])
+    def test_uniform_level_that_is_not_an_hsl_rejected(self, level):
+        # Checked before capping: 7 must not become hsl3, nor 2 blame a block.
+        with pytest.raises(InvalidProfile,
+                           match=re.escape(f"'x': {level!r} is not a hardware specification level")):
+            HardwareProfile.uniform("x", level)
+
+    def test_level_tuple_in_block_order_equals_mapping(self):
+        levels = tuple(valid_levels(b)[-1] for b in FunctionalBlock)
+        p = HardwareProfile("p", levels)
+        assert p == HardwareProfile("p", dict(zip(FunctionalBlock, levels)))
+        assert p.assignments == dict(zip(FunctionalBlock, levels))
+        assert p.level_of(FunctionalBlock.SECURITY) is HSL.HSL1
+
+    @pytest.mark.parametrize("levels", [(HSL.HSL0,) * 11, (HSL.HSL0,) * 13])
+    def test_level_tuple_of_wrong_length_rejected(self, levels):
+        with pytest.raises(InvalidProfile, match="needs one level per block"):
+            HardwareProfile("p", levels)
+
     def test_second_override_of_a_block_rejected(self):
         def speaker(grams):
             return ComponentOverride(FunctionalBlock.USER_INTERFACE, OverrideKind.MASS_SCALED,
@@ -161,3 +182,30 @@ class TestProfile:
 
 def test_triple_sum_empty_is_zero():
     assert triple_sum([]) == ZERO_TRIPLE
+
+
+def spread_triples():
+    """Triples whose components span many magnitudes, so that the order of
+    addition shows in the last bits of a sum."""
+    values = st.one_of(st.floats(min_value=0.0, max_value=1e16), st.sampled_from([0.1, 1e-3, 3.0]))
+    return st.tuples(values, values, values).map(lambda v: EmissionTriple(*sorted(v)))
+
+
+class TestSummationOrder:
+    @given(st.lists(spread_triples(), min_size=12, max_size=12),
+           st.permutations(list(FunctionalBlock)))
+    def test_total_is_a_left_to_right_sum_in_block_order(self, cells, insertion_order):
+        per_block = dict(zip(FunctionalBlock, cells))
+        estimate = FootprintEstimate("p", {b: per_block[b] for b in insertion_order})
+        low = typical = up = 0.0
+        for block in FunctionalBlock:
+            low += per_block[block].low
+            typical += per_block[block].typical
+            up += per_block[block].up
+        assert estimate.total.as_tuple() == (low, typical, up)
+
+    def test_twelve_cells_of_a_tenth(self):
+        # Python 3.12's sum() compensates and gives 1.2000000000000002 here.
+        estimate = FootprintEstimate("p", {b: EmissionTriple(0.1, 0.1, 0.1) for b in FunctionalBlock})
+        assert estimate.total.low == 1.2
+        assert triple_sum(estimate.per_block.values()) == estimate.total

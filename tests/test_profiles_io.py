@@ -1,17 +1,21 @@
+import cProfile
 import csv
 import io
 import json
 import math
+import pstats
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from edgelca.errors import InvalidProfile, ProfileParseError
-from edgelca.estimator import evaluate_profile
+from edgelca.estimator import EvaluationReport, batch_evaluate, evaluate_profile
 from edgelca.model import (
     OVERRIDE_QUANTITY_UNITS,
     ComponentOverride,
+    EmissionTriple,
+    FootprintEstimate,
     FunctionalBlock,
     HSL,
     HardwareProfile,
@@ -23,6 +27,7 @@ from edgelca.profiles_io import (
     DUPLICATE_PROFILE_NAME,
     FORBIDDEN_COMBINATION,
     MISSING_BLOCK,
+    REPORT_FORMATS,
     SYNTAX,
     UNKNOWN_BLOCK,
     UNKNOWN_LEVEL,
@@ -84,6 +89,38 @@ def documents(draw):
     )
     annotations = draw(st.dictionaries(TEXTS, TEXTS, max_size=2))
     return ProfileDocument(format_version=1, profiles=profiles, annotations=annotations)
+
+
+#: Finite values, including large ones and the halves that rounding to two
+#: decimals has to break (0.125, 0.005).
+REPORT_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e20),
+    st.sampled_from([0.0, 0.005, 0.015, 0.125, 2.675, 1e16, 2.5e17, 123456789.125]),
+)
+
+
+@st.composite
+def reports(draw, names):
+    """An EvaluationReport built from drawn parts, not by the evaluator."""
+    def triple():
+        return EmissionTriple(*sorted(draw(st.tuples(REPORT_VALUES, REPORT_VALUES, REPORT_VALUES))))
+
+    profile = HardwareProfile(
+        draw(names),
+        {b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
+        draw(st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
+    )
+    estimate = FootprintEstimate(profile.name, {b: triple() for b in FunctionalBlock})
+    return EvaluationReport(profile, estimate)
+
+
+def report_rows(report):
+    """(block, level column, triple) per row, as the report contract lays them out."""
+    overridden = {ov.block for ov in report.applied_overrides}
+    for block in FunctionalBlock:
+        level = "override" if block in overridden else report.profile.level_of(block).key
+        yield block.key, level, report.estimate.per_block[block]
+    yield "TOTAL", "", report.estimate.total
 
 
 def single_override_document(override):
@@ -336,6 +373,43 @@ class TestReportRendering:
         report = evaluate_profile(HardwareProfile.uniform(name, HSL.HSL1), table, units)
         rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
         assert [row[0] for row in rows[1:]] == [name] * 13
+
+    @given(st.lists(reports(st.text()), max_size=3))
+    def test_jsonl_lines_equal_json_dumps_property(self, batch):
+        expected = [
+            json.dumps({"profile": report.estimate.profile_name, "block": block,
+                        "level": level or None, "low": round(triple.low, 2),
+                        "typical": round(triple.typical, 2), "up": round(triple.up, 2)},
+                       separators=(", ", ": "))
+            for report in batch for block, level, triple in report_rows(report)
+        ]
+        assert render_reports(batch, "jsonl") == "".join(line + "\n" for line in expected)
+
+    # csv.reader before Python 3.11 rejects NUL.
+    @given(st.lists(reports(st.text(alphabet=st.characters(blacklist_characters="\x00"))),
+                    max_size=3))
+    def test_csv_rows_read_back_property(self, batch):
+        rows = list(csv.reader(io.StringIO(render_reports(batch, "csv"), newline="")))
+        assert rows[0] == ["profile", "block", "level", "low", "typical", "up"]
+        assert rows[1:] == [
+            [report.estimate.profile_name, block, level,
+             f"{triple.low:.2f}", f"{triple.typical:.2f}", f"{triple.up:.2f}"]
+            for report in batch for block, level, triple in report_rows(report)
+        ]
+
+    def test_estimate_path_runs_no_enum_code(self, table, units):
+        # Hashing enum members or iterating an Enum class runs Python code in
+        # enum.py; the table-only estimate path must do neither.
+        text = render_profiles(ProfileDocument(1, tuple(
+            HardwareProfile.uniform(f"p{level}", level) for level in HSL)))
+        profiler = cProfile.Profile()
+        profiler.enable()
+        batch = batch_evaluate(parse_profiles(text).profiles, table, units)
+        for fmt in REPORT_FORMATS:
+            render_reports(batch, fmt)
+        profiler.disable()
+        files = {filename for filename, _, _ in pstats.Stats(profiler).stats}
+        assert not [f for f in files if f.endswith("enum.py")]
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):
