@@ -167,9 +167,12 @@ class OverrideKind(enum.Enum):
     @classmethod
     def from_key(cls, key: str) -> "OverrideKind":
         try:
-            return cls(key.strip().lower())
-        except ValueError:
+            return _KIND_BY_KEY[key.strip().lower()]
+        except KeyError:
             raise KeyError(f"unknown override kind {key!r}") from None
+
+
+_KIND_BY_KEY = {kind.value: kind for kind in OverrideKind}
 
 
 #: Quantity units each override kind accepts (lowercase).

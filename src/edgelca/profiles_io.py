@@ -96,10 +96,11 @@ class _Section:
     bad: bool = False
 
 
-def _section_entry(section: _Section, key: str, value: str, line_no: int,
-                   raw: str) -> Optional[Diagnostic]:
+def _section_entry(section: _Section, key: str, value: str, line_no: int, raw: str,
+                   assigned: Dict[str, Tuple[int, HSL]]) -> Optional[Diagnostic]:
     """Record one `key = value` entry of `section`, or return the one
-    diagnostic it earns."""
+    diagnostic it earns. A level line that assigns cleanly is kept in
+    `assigned`, keyed by its raw text, with its block's position and level."""
     is_override = key.startswith("override.")
     block_key = key[len("override."):] if is_override else key
     position = _POSITIONS.get(block_key.strip().lower())
@@ -139,6 +140,7 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
                           line_no, _value_column(raw, value))
     section.levels[position] = level
     section.lines[position] = line_no
+    assigned[raw] = (position, level)
     return None
 
 
@@ -168,7 +170,17 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
+    # A raw line that once assigned a level cleanly does so again in any named
+    # section whose block is still unassigned, so a repeat skips the parse.
+    # Only a named section fills `assigned`, so a hit has a section.
+    assigned: Dict[str, Tuple[int, HSL]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        hit = assigned.get(raw)
+        if hit is not None and section.name is not None and not section.lines[hit[0]]:
+            position, level = hit
+            section.levels[position] = level
+            section.lines[position] = line_no
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -195,7 +207,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
         key, value = key.rstrip(), value.strip()
         if section is not None:
             if section.name is not None:
-                diagnostic = _section_entry(section, key, value, line_no, raw)
+                diagnostic = _section_entry(section, key, value, line_no, raw, assigned)
                 if diagnostic is not None:
                     diagnostics.append(diagnostic)
                     section.bad = True
@@ -305,12 +317,17 @@ def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -
     return _render_table(reports)
 
 
+def _csv_numbers(low: float, typical: float, up: float) -> str:
+    return f"{low:.2f},{typical:.2f},{up:.2f}"
+
+
 def _render_csv(reports: Sequence[EvaluationReport]) -> str:
     lines = [_CSV_HEADER]
+    memo = {}
     for report in reports:
         name = csv_field(report.estimate.profile_name)
-        for block, level, (low, typical, up) in _rows(report):
-            lines.append(f"{name},{block},{level},{low:.2f},{typical:.2f},{up:.2f}")
+        for block, level, numbers in _rows(report, _csv_numbers, memo):
+            lines.append(f"{name},{block},{level},{numbers}")
     return "\n".join(lines) + "\n"
 
 
@@ -318,40 +335,63 @@ _ROW_BLOCKS = tuple(block.key for block in BLOCKS) + ("TOTAL",)
 _LEVEL_KEYS = tuple(level.key for level in HSL)
 
 
-def _rows(report: EvaluationReport):
-    """(block, level column, (low, typical, up)) per block in block order,
-    then the TOTAL row, whose level column is empty."""
+def _rows(report: EvaluationReport, numbers, memo: Dict[int, tuple]):
+    """(block, level column, numbers(low, typical, up)) per block in block
+    order, then the TOTAL row, whose level column is empty.
+
+    The evaluator shares each table cell's tuple between reports, so `memo`,
+    one dict per render call, keeps a cell's text keyed by the identity of
+    its tuple, which the entry holds alive; not by value, since 0.0 == -0.0.
+    Override and TOTAL rows are formatted directly, so the memo holds at
+    most one entry per table cell.
+    """
     levels = [_LEVEL_KEYS[level] for level in report.profile.levels]
     for ov in report.applied_overrides:
         levels[BLOCKS.index(ov.block)] = "override"
+    texts = []
+    for level, triple in zip(levels, report.estimate.triples):
+        if level == "override":
+            texts.append(numbers(*triple))
+            continue
+        entry = memo.get(id(triple))
+        if entry is None:
+            entry = memo[id(triple)] = (triple, numbers(*triple))
+        texts.append(entry[1])
     levels.append("")
-    estimate = report.estimate
-    return zip(_ROW_BLOCKS, levels, estimate.triples + (estimate.total.as_tuple(),))
+    texts.append(numbers(*report.estimate.total.as_tuple()))
+    return zip(_ROW_BLOCKS, levels, texts)
+
+
+def _jsonl_numbers(low: float, typical: float, up: float) -> str:
+    # A float's JSON form is its repr.
+    return f'"low": {round(low, 2)!r}, "typical": {round(typical, 2)!r}, "up": {round(up, 2)!r}'
 
 
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     # Each line equals json.dumps of the dict {profile, block, level, low,
-    # typical, up} with separators (", ", ": "); a float's JSON form is its repr.
+    # typical, up} with separators (", ", ": ").
     lines = []
+    memo = {}
     for report in reports:
         name = json.dumps(report.estimate.profile_name)
-        for block, level, (low, typical, up) in _rows(report):
+        for block, level, numbers in _rows(report, _jsonl_numbers, memo):
             level = f'"{level}"' if level else "null"
-            lines.append(
-                f'{{"profile": {name}, "block": "{block}", "level": {level}, '
-                f'"low": {round(low, 2)!r}, "typical": {round(typical, 2)!r}, '
-                f'"up": {round(up, 2)!r}}}'
-            )
+            lines.append(f'{{"profile": {name}, "block": "{block}", "level": {level}, {numbers}}}')
     return ("\n".join(lines) + "\n") if lines else ""
+
+
+def _table_numbers(low: float, typical: float, up: float) -> str:
+    return f"{low:>8.2f}{typical:>9.2f}{up:>8.2f}"
 
 
 def _render_table(reports: Sequence[EvaluationReport]) -> str:
     chunks = []
+    memo = {}
     for report in reports:
         lines = [f"profile: {report.estimate.profile_name}"]
         lines.append(f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}")
-        for block, level, (low, typical, up) in _rows(report):
-            lines.append(f"{block:<16}{level:<10}{low:>8.2f}{typical:>9.2f}{up:>8.2f}")
+        for block, level, numbers in _rows(report, _table_numbers, memo):
+            lines.append(f"{block:<16}{level:<10}{numbers}")
         for warning in report.warnings:
             lines.append(f"warning: {warning}")
         chunks.append("\n".join(lines))

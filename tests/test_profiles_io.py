@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pstats
+import random
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, strategies as st
 
 from edgelca.errors import InvalidProfile, ProfileParseError
 from edgelca.estimator import EvaluationReport, batch_evaluate, evaluate_profile
+from edgelca.factors import parse_unit_registry, serialize_unit_registry
 from edgelca.model import (
+    CELLS,
     OVERRIDE_QUANTITY_UNITS,
     ComponentOverride,
     EmissionTriple,
@@ -114,6 +117,14 @@ def reports(draw, names):
     return EvaluationReport(profile, estimate)
 
 
+#: Cell tuples that reports share: 0.0 and -0.0, and equal values held in
+#: distinct tuples (tuple(list(...)) builds a new tuple each time).
+SHARED_TRIPLES = [tuple(list(values)) for values in [
+    (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+    (0.005, 0.125, 2.675), (0.005, 0.125, 2.675), (1.0, 1.5, 2.0),
+]]
+
+
 def report_rows(report):
     """(block, level column, triple) per row, as the report contract lays them out."""
     overridden = {ov.block for ov in report.applied_overrides}
@@ -121,6 +132,57 @@ def report_rows(report):
         level = "override" if block in overridden else report.profile.level_of(block).key
         yield block.key, level, report.estimate.per_block[block]
     yield "TOTAL", "", report.estimate.total
+
+
+@st.composite
+def level_lines(draw, block):
+    """A `<block> = <level>` line in one of its case, spacing and level
+    variants; security may draw a forbidden level."""
+    key = draw(st.sampled_from([block.key, block.key.upper(), block.key.title()]))
+    level = draw(st.sampled_from([lv.key for lv in HSL] + ["HSL1", "Hsl0"]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return f"{pad}{key}{draw(st.sampled_from([' = ', '=', '  =  ']))}{level}{pad}"
+
+
+#: Headers that may repeat (duplicate-profile-name) or be empty, and lines
+#: that earn a diagnostic or belong before the first header.
+MEMO_HEADERS = ["[p]", "[ p ]", "[q]", "[r]", "[]", "[  ]"]
+MEMO_OTHER_LINES = [
+    "", "# comment", "format_version = 1", "annotation.a = b", "oops", "= hsl1",
+    "display = hsl1", "casing = hsl7", "security = hsl2", "override.pcb = bad",
+    "override.pcb = solder_from_ic_area:12mm2@k",
+]
+
+
+@st.composite
+def repetitive_documents(draw):
+    """Lines of a `.iotprof` document that repeat within and across sections:
+    each block's level line comes from a few variants per document."""
+    variants = {b: draw(st.lists(level_lines(b), min_size=1, max_size=3)) for b in FunctionalBlock}
+    extra = st.one_of(st.sampled_from([v for vs in variants.values() for v in vs]),
+                      st.sampled_from(MEMO_OTHER_LINES))
+    lines = draw(st.lists(extra, max_size=3))
+    for header in draw(st.lists(st.sampled_from(MEMO_HEADERS), max_size=4)):
+        body = [draw(st.sampled_from(variants[b]))
+                for b in draw(st.permutations(list(FunctionalBlock))) if draw(st.integers(0, 9))]
+        for _ in range(draw(st.integers(0, 3))):
+            body.insert(draw(st.integers(0, len(body))), draw(extra))
+        lines += [header] + body
+    return lines
+
+
+def enum_frames(text, table, units):
+    """The enum.py files cProfile sees while `text` is parsed, evaluated and
+    rendered in every report format. Hashing enum members, iterating an Enum
+    class or calling one runs Python code there."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    batch = batch_evaluate(parse_profiles(text).profiles, table, units)
+    for fmt in REPORT_FORMATS:
+        render_reports(batch, fmt)
+    profiler.disable()
+    files = {filename for filename, _, _ in pstats.Stats(profiler).stats}
+    return [f for f in files if f.endswith("enum.py")]
 
 
 def single_override_document(override):
@@ -202,6 +264,13 @@ class TestParsing:
         text = read("valid.iotprof") + f"override.power_supply = {value}\n"
         _, diagnostics = validate_profiles(text)
         assert [(d.code, d.line) for d in diagnostics] == [(SYNTAX, 32)]
+
+    @given(repetitive_documents())
+    def test_repeated_lines_parse_as_distinct_lines_property(self, lines):
+        # A distinct trailing comment makes every raw line unique, so no line
+        # repeats an earlier one; the comment changes no value or column.
+        unique = [f"{line} # {n}" for n, line in enumerate(lines)]
+        assert validate_profiles("\n".join(lines)) == validate_profiles("\n".join(unique))
 
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)
@@ -398,18 +467,73 @@ class TestReportRendering:
         ]
 
     def test_estimate_path_runs_no_enum_code(self, table, units):
-        # Hashing enum members or iterating an Enum class runs Python code in
-        # enum.py; the table-only estimate path must do neither.
         text = render_profiles(ProfileDocument(1, tuple(
             HardwareProfile.uniform(f"p{level}", level) for level in HSL)))
+        assert not enum_frames(text, table, units)
+
+    def test_override_path_runs_no_enum_code(self, table, units):
+        # One override of each kind, on blocks at hsl1, so no warning is built.
+        units = parse_unit_registry(serialize_unit_registry(units) + (
+            "dram_per_gb,0.0875,kgCO2-eq/Gb,DRAM die per gigabit\n"
+            "solder_paste_per_kg,27.4,kgCO2-eq/kg,SAC305 paste\n"))
+        overrides = (
+            ComponentOverride(FunctionalBlock.POWER_SUPPLY, OverrideKind.MASS_SCALED, 48.0, "g",
+                              "li_ion_per_kg"),
+            ComponentOverride(FunctionalBlock.ACTUATORS, OverrideKind.UNIT_COUNT, 2.0, "u",
+                              "alkaline_aa_per_unit"),
+            ComponentOverride(FunctionalBlock.MEMORY, OverrideKind.MEMORY_CAPACITY, 512.0, "MB",
+                              "dram_per_gb"),
+            ComponentOverride(FunctionalBlock.PCB, OverrideKind.SOLDER_FROM_IC_AREA, 120.0, "mm2",
+                              "solder_paste_per_kg"),
+        )
+        levels = HardwareProfile.uniform("p", HSL.HSL1).levels
+        text = render_profiles(ProfileDocument(1, (HardwareProfile("p", levels, overrides),)))
+        assert {ov.kind for ov in parse_profiles(text).profiles[0].overrides} == set(OverrideKind)
+        assert not enum_frames(text, table, units)
+
+    @given(st.lists(st.tuples(NAMES, st.lists(st.sampled_from(SHARED_TRIPLES),
+                                              min_size=12, max_size=12),
+                              st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
+                    max_size=4))
+    def test_shared_cell_tuples_render_as_their_values_property(self, drawn):
+        # Reports share cell tuples, as the evaluator's do; equal values in
+        # distinct tuples, and 0.0 next to -0.0, each print as their own value.
+        batch = []
+        for name, triples, profile_overrides in drawn:
+            levels = HardwareProfile.uniform(name, HSL.HSL1).levels
+            batch.append(EvaluationReport(HardwareProfile(name, levels, profile_overrides),
+                                          FootprintEstimate(name, tuple(triples))))
+        csv_lines, jsonl_lines, table_chunks = ["profile,block,level,low,typical,up"], [], []
+        for report in batch:
+            name = report.estimate.profile_name
+            table_lines = [f"profile: {name}", "block           level          low  typical      up"]
+            for block, level, triple in report_rows(report):
+                low, typical, up = triple.as_tuple()
+                csv_lines.append(f"{name},{block},{level},{low:.2f},{typical:.2f},{up:.2f}")
+                jsonl_lines.append(json.dumps(
+                    {"profile": name, "block": block, "level": level or None,
+                     "low": round(low, 2), "typical": round(typical, 2), "up": round(up, 2)},
+                    separators=(", ", ": ")))
+                table_lines.append(f"{block:<16}{level:<10}{low:>8.2f}{typical:>9.2f}{up:>8.2f}")
+            table_chunks.append("\n".join(table_lines))
+        assert render_reports(batch, "csv") == "\n".join(csv_lines) + "\n"
+        assert render_reports(batch, "jsonl") == "".join(line + "\n" for line in jsonl_lines)
+        assert render_reports(batch, "table") == (
+            "\n\n".join(table_chunks) + "\n" if table_chunks else "")
+
+    def test_jsonl_formats_each_table_cell_once(self, table, units):
+        # A count, not a time: one formatting per distinct cell, plus the
+        # TOTAL row of each profile.
+        rng = random.Random(0)
+        profiles = [HardwareProfile(f"p{i}", tuple(rng.choice(valid_levels(b)) for b in FunctionalBlock))
+                    for i in range(1000)]
+        batch = batch_evaluate(profiles, table, units)
         profiler = cProfile.Profile()
         profiler.enable()
-        batch = batch_evaluate(parse_profiles(text).profiles, table, units)
-        for fmt in REPORT_FORMATS:
-            render_reports(batch, fmt)
+        render_reports(batch, "jsonl")
         profiler.disable()
-        files = {filename for filename, _, _ in pstats.Stats(profiler).stats}
-        assert not [f for f in files if f.endswith("enum.py")]
+        calls = {func: nc for (_, _, func), (_, nc, _, _, _) in pstats.Stats(profiler).stats.items()}
+        assert calls["<built-in method builtins.round>"] <= 3 * (len(CELLS) + len(profiles))
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):
