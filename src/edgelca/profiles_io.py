@@ -96,11 +96,10 @@ class _Section:
     bad: bool = False
 
 
-def _section_entry(section: _Section, key: str, value: str, line_no: int, raw: str,
-                   assigned: Dict[str, Tuple[int, HSL]]) -> Optional[Diagnostic]:
+def _section_entry(section: _Section, key: str, value: str, line_no: int,
+                   raw: str) -> Optional[Diagnostic]:
     """Record one `key = value` entry of `section`, or return the one
-    diagnostic it earns. A level line that assigns cleanly is kept in
-    `assigned`, keyed by its raw text, with its block's position and level."""
+    diagnostic it earns."""
     is_override = key.startswith("override.")
     block_key = key[len("override."):] if is_override else key
     position = _POSITIONS.get(block_key.strip().lower())
@@ -140,7 +139,6 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int, raw: s
                           line_no, _value_column(raw, value))
     section.levels[position] = level
     section.lines[position] = line_no
-    assigned[raw] = (position, level)
     return None
 
 
@@ -170,17 +168,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
-    # A raw line that once assigned a level cleanly does so again in any named
-    # section whose block is still unassigned, so a repeat skips the parse.
-    # Only a named section fills `assigned`, so a hit has a section.
-    assigned: Dict[str, Tuple[int, HSL]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        hit = assigned.get(raw)
-        if hit is not None and section.name is not None and not section.lines[hit[0]]:
-            position, level = hit
-            section.levels[position] = level
-            section.lines[position] = line_no
-            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -207,7 +195,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
         key, value = key.rstrip(), value.strip()
         if section is not None:
             if section.name is not None:
-                diagnostic = _section_entry(section, key, value, line_no, raw, assigned)
+                diagnostic = _section_entry(section, key, value, line_no, raw)
                 if diagnostic is not None:
                     diagnostics.append(diagnostic)
                     section.bad = True
@@ -317,17 +305,16 @@ def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -
     return _render_table(reports)
 
 
-def _csv_numbers(low: float, typical: float, up: float) -> str:
-    return f"{low:.2f},{typical:.2f},{up:.2f}"
+def _csv_row(block: str, level: str, low: float, typical: float, up: float) -> str:
+    return f"{block},{level},{low:.2f},{typical:.2f},{up:.2f}"
 
 
 def _render_csv(reports: Sequence[EvaluationReport]) -> str:
     lines = [_CSV_HEADER]
-    memo = {}
-    for report in reports:
+    for report, rows in _rows(reports, _csv_row):
         name = csv_field(report.estimate.profile_name)
-        for block, level, numbers in _rows(report, _csv_numbers, memo):
-            lines.append(f"{name},{block},{level},{numbers}")
+        for row in rows:
+            lines.append(f"{name},{row}")
     return "\n".join(lines) + "\n"
 
 
@@ -335,63 +322,64 @@ _ROW_BLOCKS = tuple(block.key for block in BLOCKS) + ("TOTAL",)
 _LEVEL_KEYS = tuple(level.key for level in HSL)
 
 
-def _rows(report: EvaluationReport, numbers, memo: Dict[int, tuple]):
-    """(block, level column, numbers(low, typical, up)) per block in block
-    order, then the TOTAL row, whose level column is empty.
+def _rows(reports: Sequence[EvaluationReport], row):
+    """Each report with its rows, `row(block, level column, low, typical,
+    up)` per block in block order, then the TOTAL row, whose level column
+    is empty.
 
-    The evaluator shares each table cell's tuple between reports, so `memo`,
-    one dict per render call, keeps a cell's text keyed by the identity of
-    its tuple, which the entry holds alive; not by value, since 0.0 == -0.0.
-    Override and TOTAL rows are formatted directly, so the memo holds at
-    most one entry per table cell.
+    The evaluator gives every report the table's own tuple for a cell, so
+    each (block, level) slot keeps the row it last made with the tuple it
+    made it from, and reuses the row while the slot sees that same tuple;
+    the test is `is`, not `==`, since 0.0 == -0.0. Override and TOTAL rows
+    are made directly, so at most one row per table cell is kept.
     """
-    levels = [_LEVEL_KEYS[level] for level in report.profile.levels]
-    for ov in report.applied_overrides:
-        levels[BLOCKS.index(ov.block)] = "override"
-    texts = []
-    for level, triple in zip(levels, report.estimate.triples):
-        if level == "override":
-            texts.append(numbers(*triple))
-            continue
-        entry = memo.get(id(triple))
-        if entry is None:
-            entry = memo[id(triple)] = (triple, numbers(*triple))
-        texts.append(entry[1])
-    levels.append("")
-    texts.append(numbers(*report.estimate.total.as_tuple()))
-    return zip(_ROW_BLOCKS, levels, texts)
+    memo = [[None] * len(_LEVEL_KEYS) for _ in BLOCKS]
+    for report in reports:
+        labels = [_LEVEL_KEYS[level] for level in report.profile.levels]
+        for ov in report.applied_overrides:
+            labels[BLOCKS.index(ov.block)] = "override"
+        rows = []
+        for block, slots, level, label, triple in zip(
+                _ROW_BLOCKS, memo, report.profile.levels, labels, report.estimate.triples):
+            if label == "override":
+                rows.append(row(block, label, *triple))
+                continue
+            entry = slots[level]
+            if entry is None or entry[0] is not triple:
+                entry = slots[level] = (triple, row(block, label, *triple))
+            rows.append(entry[1])
+        rows.append(row("TOTAL", "", *report.estimate.total.as_tuple()))
+        yield report, rows
 
 
-def _jsonl_numbers(low: float, typical: float, up: float) -> str:
+def _jsonl_row(block: str, level: str, low: float, typical: float, up: float) -> str:
     # A float's JSON form is its repr.
-    return f'"low": {round(low, 2)!r}, "typical": {round(typical, 2)!r}, "up": {round(up, 2)!r}'
+    level = f'"{level}"' if level else "null"
+    return (f'"block": "{block}", "level": {level}, "low": {round(low, 2)!r}, '
+            f'"typical": {round(typical, 2)!r}, "up": {round(up, 2)!r}}}')
 
 
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     # Each line equals json.dumps of the dict {profile, block, level, low,
     # typical, up} with separators (", ", ": ").
     lines = []
-    memo = {}
-    for report in reports:
+    for report, rows in _rows(reports, _jsonl_row):
         name = json.dumps(report.estimate.profile_name)
-        for block, level, numbers in _rows(report, _jsonl_numbers, memo):
-            level = f'"{level}"' if level else "null"
-            lines.append(f'{{"profile": {name}, "block": "{block}", "level": {level}, {numbers}}}')
+        for row in rows:
+            lines.append(f'{{"profile": {name}, {row}')
     return ("\n".join(lines) + "\n") if lines else ""
 
 
-def _table_numbers(low: float, typical: float, up: float) -> str:
-    return f"{low:>8.2f}{typical:>9.2f}{up:>8.2f}"
+def _table_row(block: str, level: str, low: float, typical: float, up: float) -> str:
+    return f"{block:<16}{level:<10}{low:>8.2f}{typical:>9.2f}{up:>8.2f}"
 
 
 def _render_table(reports: Sequence[EvaluationReport]) -> str:
     chunks = []
-    memo = {}
-    for report in reports:
+    for report, rows in _rows(reports, _table_row):
         lines = [f"profile: {report.estimate.profile_name}"]
         lines.append(f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}")
-        for block, level, numbers in _rows(report, _table_numbers, memo):
-            lines.append(f"{block:<16}{level:<10}{numbers}")
+        lines += rows
         for warning in report.warnings:
             lines.append(f"warning: {warning}")
         chunks.append("\n".join(lines))

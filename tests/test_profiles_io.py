@@ -134,43 +134,6 @@ def report_rows(report):
     yield "TOTAL", "", report.estimate.total
 
 
-@st.composite
-def level_lines(draw, block):
-    """A `<block> = <level>` line in one of its case, spacing and level
-    variants; security may draw a forbidden level."""
-    key = draw(st.sampled_from([block.key, block.key.upper(), block.key.title()]))
-    level = draw(st.sampled_from([lv.key for lv in HSL] + ["HSL1", "Hsl0"]))
-    pad = draw(st.sampled_from(["", " ", "\t"]))
-    return f"{pad}{key}{draw(st.sampled_from([' = ', '=', '  =  ']))}{level}{pad}"
-
-
-#: Headers that may repeat (duplicate-profile-name) or be empty, and lines
-#: that earn a diagnostic or belong before the first header.
-MEMO_HEADERS = ["[p]", "[ p ]", "[q]", "[r]", "[]", "[  ]"]
-MEMO_OTHER_LINES = [
-    "", "# comment", "format_version = 1", "annotation.a = b", "oops", "= hsl1",
-    "display = hsl1", "casing = hsl7", "security = hsl2", "override.pcb = bad",
-    "override.pcb = solder_from_ic_area:12mm2@k",
-]
-
-
-@st.composite
-def repetitive_documents(draw):
-    """Lines of a `.iotprof` document that repeat within and across sections:
-    each block's level line comes from a few variants per document."""
-    variants = {b: draw(st.lists(level_lines(b), min_size=1, max_size=3)) for b in FunctionalBlock}
-    extra = st.one_of(st.sampled_from([v for vs in variants.values() for v in vs]),
-                      st.sampled_from(MEMO_OTHER_LINES))
-    lines = draw(st.lists(extra, max_size=3))
-    for header in draw(st.lists(st.sampled_from(MEMO_HEADERS), max_size=4)):
-        body = [draw(st.sampled_from(variants[b]))
-                for b in draw(st.permutations(list(FunctionalBlock))) if draw(st.integers(0, 9))]
-        for _ in range(draw(st.integers(0, 3))):
-            body.insert(draw(st.integers(0, len(body))), draw(extra))
-        lines += [header] + body
-    return lines
-
-
 def enum_frames(text, table, units):
     """The enum.py files cProfile sees while `text` is parsed, evaluated and
     rendered in every report format. Hashing enum members, iterating an Enum
@@ -264,13 +227,6 @@ class TestParsing:
         text = read("valid.iotprof") + f"override.power_supply = {value}\n"
         _, diagnostics = validate_profiles(text)
         assert [(d.code, d.line) for d in diagnostics] == [(SYNTAX, 32)]
-
-    @given(repetitive_documents())
-    def test_repeated_lines_parse_as_distinct_lines_property(self, lines):
-        # A distinct trailing comment makes every raw line unique, so no line
-        # repeats an earlier one; the comment changes no value or column.
-        unique = [f"{line} # {n}" for n, line in enumerate(lines)]
-        assert validate_profiles("\n".join(lines)) == validate_profiles("\n".join(unique))
 
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)
