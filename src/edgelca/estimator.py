@@ -128,13 +128,13 @@ def evaluate_profile(
     warnings: List[str] = []
     for position, override in sorted((BLOCKS.index(ov.block), ov) for ov in profile.overrides):
         level = profile.levels[position]
-        if level == 0 and triples[position][2] == 0.0:
+        if level == 0 and triples[position].up == 0.0:
             key = override.block.key
             warnings.append(
                 f"override on {key} replaces an absent-feature cell "
                 f"({key} at {level.key} is zero); check the profile"
             )
-        triples[position] = apply_override(override, units).as_tuple()
+        triples[position] = apply_override(override, units)
 
     estimate = FootprintEstimate(profile.name, tuple(triples))
     return EvaluationReport(profile=profile, estimate=estimate, warnings=tuple(warnings))

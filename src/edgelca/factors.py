@@ -30,6 +30,7 @@ from .model import (
     FunctionalBlock,
     HSL,
     is_valid_cell,
+    triple_sum,
 )
 
 EXPECTED_CELL_COUNT = len(CELLS)
@@ -73,12 +74,12 @@ class TableMetadata:
 @dataclass(frozen=True)
 class EmissionFactorTable:
     """Map (block, level) -> emission triple; immutable once loaded. `rows`
-    holds, per block in `BLOCKS` order, each level's (low, typical, up), or
-    None for an undefined cell."""
+    holds, per block in `BLOCKS` order, each level's cell (the same object
+    as in `cells`), or None for an undefined cell."""
 
     cells: Mapping[Tuple[FunctionalBlock, HSL], EmissionTriple]
     metadata: TableMetadata = field(default_factory=TableMetadata)
-    rows: Tuple[Tuple[Optional[Tuple[float, float, float]], ...], ...] = field(
+    rows: Tuple[Tuple[Optional[EmissionTriple], ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,8 +94,8 @@ class EmissionFactorTable:
             if (block, level) not in cells:
                 raise MissingCell(f"table misses cell ({block.key}, {level.key})")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "rows", tuple(tuple(
-            cells[(b, lv)].as_tuple() if (b, lv) in cells else None for lv in HSL) for b in BLOCKS))
+        object.__setattr__(self, "rows", tuple(
+            tuple(cells.get((b, lv)) for lv in HSL) for b in BLOCKS))
 
     def lookup(self, block: FunctionalBlock, level: HSL) -> EmissionTriple:
         # Only valid cells are in the table; a level that is not an HSL (7, True) is refused.
@@ -105,9 +106,9 @@ class EmissionFactorTable:
         return cell
 
     def column_sum(self, level: HSL) -> Tuple[float, float, float]:
-        """Componentwise sum over all blocks defined at `level`."""
-        column = [self.cells[cell].as_tuple() for cell in CELLS if cell[1] == level]
-        return tuple(sum(values) for values in zip(*column))
+        """Componentwise sum over all blocks defined at `level`, in block
+        order, by the same left-to-right rule as an estimate's total."""
+        return triple_sum(self.cells[cell] for cell in CELLS if cell[1] == level).as_tuple()
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,10 @@ class FunctionalBlock(enum.Enum):
     # Members are compared by identity; unlike Enum's, this hash runs no Python code.
     __hash__ = object.__hash__
 
-    @property
-    def key(self) -> str:
-        """Lower-snake-case identifier used in data files."""
-        return self.value
+    def __init__(self, key: str):
+        #: Lower-snake-case identifier used in data files; a plain attribute,
+        #: so reading it runs no enum.py code, unlike `value`.
+        self.key = key
 
     @classmethod
     def from_key(cls, key: str) -> "FunctionalBlock":
@@ -64,9 +64,8 @@ class HSL(enum.IntEnum):
     HSL2 = 2
     HSL3 = 3
 
-    @property
-    def key(self) -> str:
-        return f"hsl{int(self)}"
+    def __init__(self, level: int):
+        self.key = f"hsl{level}"  # a plain attribute, as for FunctionalBlock
 
     @classmethod
     def from_key(cls, key: str) -> "HSL":
@@ -138,20 +137,16 @@ class EmissionTriple:
 ZERO_TRIPLE = EmissionTriple(0.0, 0.0, 0.0)
 
 
-def _sum(triples) -> EmissionTriple:
-    """Componentwise sum of (low, typical, up) tuples, added left to right
-    from 0.0. Not `sum()`, which compensates on Python 3.12 and so would
-    make totals depend on the interpreter."""
-    low = typical = up = 0.0
-    for lo, typ, hi in triples:
-        low += lo
-        typical += typ
-        up += hi
-    return EmissionTriple(low, typical, up)
-
-
 def triple_sum(triples) -> EmissionTriple:
-    return _sum(t.as_tuple() for t in triples)
+    """Componentwise sum of EmissionTriples, added left to right from 0.0.
+    Not `sum()`, which compensates on Python 3.12 and so would make totals
+    depend on the interpreter."""
+    low = typical = up = 0.0
+    for t in triples:
+        low += t.low
+        typical += t.typical
+        up += t.up
+    return EmissionTriple(low, typical, up)
 
 
 class OverrideKind(enum.Enum):
@@ -271,23 +266,23 @@ class HardwareProfile:
 @dataclass(frozen=True, init=False)
 class FootprintEstimate:
     """Per-block emission triples plus their componentwise total, stored as
-    one (low, typical, up) tuple per block in `BLOCKS` order; the constructor
-    also takes, and `per_block` gives back, a mapping to EmissionTriples."""
+    one EmissionTriple per block in `BLOCKS` order; the constructor also
+    takes, and `per_block` gives back, a mapping to those same objects."""
 
     profile_name: str
-    triples: Tuple[Tuple[float, float, float], ...]
+    triples: Tuple[EmissionTriple, ...]
     total: EmissionTriple
 
     def __init__(self, profile_name: str, per_block: Union[
-            Mapping[FunctionalBlock, EmissionTriple], Tuple[Tuple[float, float, float], ...]]):
+            Mapping[FunctionalBlock, EmissionTriple], Tuple[EmissionTriple, ...]]):
         if not isinstance(per_block, tuple) and set(per_block) == set(BLOCKS):
-            per_block = tuple(per_block[b].as_tuple() for b in BLOCKS)
+            per_block = tuple(per_block[b] for b in BLOCKS)
         if not isinstance(per_block, tuple) or len(per_block) != len(BLOCKS):
             raise InvalidProfile(f"estimate for {profile_name!r} must cover all 12 blocks")
         object.__setattr__(self, "profile_name", profile_name)
         object.__setattr__(self, "triples", per_block)
-        object.__setattr__(self, "total", _sum(per_block))
+        object.__setattr__(self, "total", triple_sum(per_block))
 
     @property
     def per_block(self) -> Dict[FunctionalBlock, EmissionTriple]:
-        return {b: EmissionTriple(*t) for b, t in zip(BLOCKS, self.triples)}
+        return dict(zip(BLOCKS, self.triples))

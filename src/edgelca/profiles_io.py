@@ -27,6 +27,7 @@ from .factors import csv_field
 from .model import (
     BLOCKS,
     ComponentOverride,
+    EmissionTriple,
     FunctionalBlock,
     HSL,
     HardwareProfile,
@@ -305,8 +306,8 @@ def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -
     return _render_table(reports)
 
 
-def _csv_row(block: str, level: str, low: float, typical: float, up: float) -> str:
-    return f"{block},{level},{low:.2f},{typical:.2f},{up:.2f}"
+def _csv_row(block: str, level: str, t: EmissionTriple) -> str:
+    return f"{block},{level},{t.low:.2f},{t.typical:.2f},{t.up:.2f}"
 
 
 def _render_csv(reports: Sequence[EvaluationReport]) -> str:
@@ -318,45 +319,40 @@ def _render_csv(reports: Sequence[EvaluationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ROW_BLOCKS = tuple(block.key for block in BLOCKS) + ("TOTAL",)
-_LEVEL_KEYS = tuple(level.key for level in HSL)
-
-
 def _rows(reports: Sequence[EvaluationReport], row):
-    """Each report with its rows, `row(block, level column, low, typical,
-    up)` per block in block order, then the TOTAL row, whose level column
-    is empty.
+    """Each report with its rows, `row(block, level column, triple)` per
+    block in block order, then the TOTAL row, whose level column is empty.
 
-    The evaluator gives every report the table's own tuple for a cell, so
-    each (block, level) slot keeps the row it last made with the tuple it
-    made it from, and reuses the row while the slot sees that same tuple;
-    the test is `is`, not `==`, since 0.0 == -0.0. Override and TOTAL rows
-    are made directly, so at most one row per table cell is kept.
+    The evaluator gives every report the table's own cell object, so each
+    (block, level) slot keeps the row it last made with the triple it made
+    it from, and reuses the row while the slot sees that same object; the
+    test is `is`, not `==`, since 0.0 == -0.0. Override and TOTAL rows are
+    made directly, so at most one row per table cell is kept.
     """
-    memo = [[None] * len(_LEVEL_KEYS) for _ in BLOCKS]
+    memo = [[None] * len(_LEVELS) for _ in BLOCKS]
     for report in reports:
-        labels = [_LEVEL_KEYS[level] for level in report.profile.levels]
+        labels = [level.key for level in report.profile.levels]
         for ov in report.applied_overrides:
             labels[BLOCKS.index(ov.block)] = "override"
         rows = []
         for block, slots, level, label, triple in zip(
-                _ROW_BLOCKS, memo, report.profile.levels, labels, report.estimate.triples):
+                BLOCKS, memo, report.profile.levels, labels, report.estimate.triples):
             if label == "override":
-                rows.append(row(block, label, *triple))
+                rows.append(row(block.key, label, triple))
                 continue
             entry = slots[level]
             if entry is None or entry[0] is not triple:
-                entry = slots[level] = (triple, row(block, label, *triple))
+                entry = slots[level] = (triple, row(block.key, label, triple))
             rows.append(entry[1])
-        rows.append(row("TOTAL", "", *report.estimate.total.as_tuple()))
+        rows.append(row("TOTAL", "", report.estimate.total))
         yield report, rows
 
 
-def _jsonl_row(block: str, level: str, low: float, typical: float, up: float) -> str:
+def _jsonl_row(block: str, level: str, t: EmissionTriple) -> str:
     # A float's JSON form is its repr.
     level = f'"{level}"' if level else "null"
-    return (f'"block": "{block}", "level": {level}, "low": {round(low, 2)!r}, '
-            f'"typical": {round(typical, 2)!r}, "up": {round(up, 2)!r}}}')
+    return (f'"block": "{block}", "level": {level}, "low": {round(t.low, 2)!r}, '
+            f'"typical": {round(t.typical, 2)!r}, "up": {round(t.up, 2)!r}}}')
 
 
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
@@ -370,8 +366,8 @@ def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     return ("\n".join(lines) + "\n") if lines else ""
 
 
-def _table_row(block: str, level: str, low: float, typical: float, up: float) -> str:
-    return f"{block:<16}{level:<10}{low:>8.2f}{typical:>9.2f}{up:>8.2f}"
+def _table_row(block: str, level: str, t: EmissionTriple) -> str:
+    return f"{block:<16}{level:<10}{t.low:>8.2f}{t.typical:>9.2f}{t.up:>8.2f}"
 
 
 def _render_table(reports: Sequence[EvaluationReport]) -> str:

@@ -82,7 +82,7 @@ def block_contributions(estimate: FootprintEstimate) -> Dict[FunctionalBlock, fl
             f"estimate {estimate.profile_name!r} has zero typical total; "
             "contribution shares are undefined"
         )
-    return {b: typical / total for b, (_, typical, _) in zip(BLOCKS, estimate.triples)}
+    return {b: t.typical / total for b, t in zip(BLOCKS, estimate.triples)}
 
 
 def level_series(
@@ -93,10 +93,7 @@ def level_series(
     Undefined cells are None, never zero-filled: "absent" and "zero
     footprint" are different facts.
     """
-    return {
-        block: [table.cells.get((block, level)) for level in HSL]
-        for block in FunctionalBlock
-    }
+    return {b: list(row) for b, row in zip(BLOCKS, table.rows)}
 
 
 def level_series_csv(table: EmissionFactorTable) -> str:

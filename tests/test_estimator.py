@@ -17,6 +17,7 @@ from edgelca.estimator import (
 )
 from edgelca.model import (
     ComponentOverride,
+    FootprintEstimate,
     FunctionalBlock,
     HSL,
     HardwareProfile,
@@ -66,6 +67,48 @@ class TestTotals:
             for i, v in enumerate(triple.as_tuple()):
                 acc[i] += v
         assert report.estimate.total.as_tuple() == pytest.approx(tuple(acc), abs=1e-12)
+
+
+    @pytest.mark.parametrize("level", [HSL.HSL0, HSL.HSL1])
+    def test_uniform_total_is_the_column_sum(self, table, units, level):
+        # `uniform` caps no block at these levels, so its cells are the whole
+        # column, and both sums follow the one left-to-right rule exactly.
+        report = evaluate_profile(HardwareProfile.uniform("u", level), table, units)
+        assert table.column_sum(level) == report.estimate.total.as_tuple()
+
+
+#: Overrides the bundled registry can evaluate: (kind, quantity unit, factor key).
+BUNDLED_OVERRIDES = [
+    (OverrideKind.MASS_SCALED, "g", "li_ion_per_kg"),
+    (OverrideKind.UNIT_COUNT, "u", "alkaline_aa_per_unit"),
+    (OverrideKind.SOLDER_FROM_IC_AREA, "mm2", "ndfeb_speaker_per_kg"),
+]
+
+
+@st.composite
+def bundled_profiles(draw):
+    """A profile with 0-3 overrides that evaluates on the bundled data files."""
+    overrides = []
+    for block in draw(st.lists(st.sampled_from(FunctionalBlock), max_size=3, unique=True)):
+        kind, unit, key = draw(st.sampled_from(BUNDLED_OVERRIDES))
+        quantity = draw(st.floats(min_value=0.0, max_value=1e4))
+        overrides.append(ComponentOverride(block, kind, quantity, unit, key))
+    levels = tuple(draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock)
+    return HardwareProfile("p", levels, overrides)
+
+
+class TestSharedTriples:
+    @given(bundled_profiles())
+    def test_table_cells_reach_the_report_as_the_same_objects(self, table, units, profile):
+        estimate = evaluate_profile(profile, table, units).estimate
+        overridden = {ov.block for ov in profile.overrides}
+        for i, (block, level) in enumerate(zip(FunctionalBlock, profile.levels)):
+            assert table.rows[i][level] is table.cells[(block, level)]
+            if block not in overridden:
+                assert estimate.triples[i] is table.rows[i][level]
+            assert estimate.per_block[block] is estimate.triples[i]
+        rebuilt = FootprintEstimate("q", estimate.per_block)
+        assert all(a is b for a, b in zip(rebuilt.triples, estimate.triples))
 
 
 class TestMonotonicity:

@@ -117,9 +117,9 @@ def reports(draw, names):
     return EvaluationReport(profile, estimate)
 
 
-#: Cell tuples that reports share: 0.0 and -0.0, and equal values held in
-#: distinct tuples (tuple(list(...)) builds a new tuple each time).
-SHARED_TRIPLES = [tuple(list(values)) for values in [
+#: Cell objects that reports share: 0.0 and -0.0, and equal values held in
+#: distinct objects (one EmissionTriple per entry).
+SHARED_TRIPLES = [EmissionTriple(*values) for values in [
     (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
     (0.005, 0.125, 2.675), (0.005, 0.125, 2.675), (1.0, 1.5, 2.0),
 ]]
@@ -134,18 +134,26 @@ def report_rows(report):
     yield "TOTAL", "", report.estimate.total
 
 
-def enum_frames(text, table, units):
-    """The enum.py files cProfile sees while `text` is parsed, evaluated and
-    rendered in every report format. Hashing enum members, iterating an Enum
-    class or calling one runs Python code there."""
+def enum_files(work):
+    """The enum.py files cProfile sees while `work()` runs. Hashing enum
+    members, iterating an Enum class, calling one or reading a member's
+    `value` runs Python code there."""
     profiler = cProfile.Profile()
     profiler.enable()
-    batch = batch_evaluate(parse_profiles(text).profiles, table, units)
-    for fmt in REPORT_FORMATS:
-        render_reports(batch, fmt)
+    work()
     profiler.disable()
     files = {filename for filename, _, _ in pstats.Stats(profiler).stats}
     return [f for f in files if f.endswith("enum.py")]
+
+
+def enum_frames(text, table, units):
+    """The enum.py files seen while `text` is parsed, evaluated and rendered
+    in every report format."""
+    def work():
+        batch = batch_evaluate(parse_profiles(text).profiles, table, units)
+        for fmt in REPORT_FORMATS:
+            render_reports(batch, fmt)
+    return enum_files(work)
 
 
 def single_override_document(override):
@@ -447,13 +455,36 @@ class TestReportRendering:
         assert {ov.kind for ov in parse_profiles(text).profiles[0].overrides} == set(OverrideKind)
         assert not enum_frames(text, table, units)
 
+    def test_block_names_in_messages_run_no_enum_code(self, table, units):
+        # Forbidden-combination and missing-block diagnostics, and an
+        # absent-feature override warning, each name a block.
+        override = ComponentOverride(FunctionalBlock.ACTUATORS, OverrideKind.UNIT_COUNT, 2.0, "u",
+                                     "alkaline_aa_per_unit")
+        levels = HardwareProfile.uniform("p", HSL.HSL0).levels
+        clean = render_profiles(ProfileDocument(1, (HardwareProfile("p", levels, (override,)),)))
+        dirty = clean.replace("security = hsl0", "security = hsl3")
+        outputs = []
+
+        def work():
+            outputs.append(validate_profiles(dirty)[1])
+            outputs.append(render_reports(
+                batch_evaluate(parse_profiles(clean).profiles, table, units), "table"))
+
+        assert not enum_files(work)
+        diagnostics, rendered = outputs
+        assert [(d.code, d.message) for d in diagnostics] == [
+            (FORBIDDEN_COMBINATION, "security cannot be assigned hsl3"),
+            (MISSING_BLOCK, "profile 'p' misses blocks: security")]
+        assert ("warning: override on actuators replaces an absent-feature cell "
+                "(actuators at hsl0 is zero); check the profile") in rendered
+
     @given(st.lists(st.tuples(NAMES, st.lists(st.sampled_from(SHARED_TRIPLES),
                                               min_size=12, max_size=12),
                               st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
                     max_size=4))
     def test_shared_cell_tuples_render_as_their_values_property(self, drawn):
-        # Reports share cell tuples, as the evaluator's do; equal values in
-        # distinct tuples, and 0.0 next to -0.0, each print as their own value.
+        # Reports share cell objects, as the evaluator's do; equal values in
+        # distinct objects, and 0.0 next to -0.0, each print as their own value.
         batch = []
         for name, triples, profile_overrides in drawn:
             levels = HardwareProfile.uniform(name, HSL.HSL1).levels
