@@ -82,6 +82,10 @@ def estimate(profile_file, factors, units, fmt, out):
     registry = defaults.default_unit_registry(units)
     reports = batch_evaluate(document.profiles, table, registry)
     _emit(render_reports(reports, fmt), out)
+    if fmt != "table":  # the table carries its warnings; csv and jsonl rows cannot
+        for report in reports:
+            for warning in report.warnings:
+                click.echo(f"warning: profile {report.profile.name!r}: {warning}", err=True)
 
 
 @main.command()

@@ -96,7 +96,7 @@ def _resolve_factor(override: ComponentOverride, units: UnitFactorRegistry) -> U
     expected = _FACTOR_UNIT_BY_KIND[override.kind]
     if entry.unit != expected:
         raise InvalidOverrideUnit(
-            f"override on {override.block.key}: kind {override.kind.value!r} needs a "
+            f"override on {override.block.key}: kind {override.kind.key!r} needs a "
             f"{expected!r} factor, but {override.factor_key!r} has unit {entry.unit!r}"
         )
     return entry

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Tuple
 
 from .errors import InvalidProfile, InvalidTriple
 
@@ -53,7 +53,7 @@ class FunctionalBlock(enum.Enum):
 
 #: Profiles and estimates store one entry per block, in this order.
 BLOCKS = tuple(FunctionalBlock)
-_BLOCK_BY_KEY = {block.value: block for block in BLOCKS}
+_BLOCK_BY_KEY = {block.key: block for block in BLOCKS}
 
 
 class HSL(enum.IntEnum):
@@ -159,6 +159,9 @@ class OverrideKind(enum.Enum):
     MEMORY_CAPACITY = "memory_capacity"  # MB/GB -> Gb x per-Gb factor
     SOLDER_FROM_IC_AREA = "solder_from_ic_area"  # mm2 -> solder mass x per-kg factor
 
+    def __init__(self, key: str):
+        self.key = key  # a plain attribute, as for FunctionalBlock
+
     @classmethod
     def from_key(cls, key: str) -> "OverrideKind":
         try:
@@ -167,7 +170,7 @@ class OverrideKind(enum.Enum):
             raise KeyError(f"unknown override kind {key!r}") from None
 
 
-_KIND_BY_KEY = {kind.value: kind for kind in OverrideKind}
+_KIND_BY_KEY = {kind.key: kind for kind in OverrideKind}
 
 
 #: Quantity units each override kind accepts (lowercase).
@@ -202,16 +205,16 @@ class ComponentOverride:
         allowed = OVERRIDE_QUANTITY_UNITS[self.kind]
         if self.unit.lower() not in allowed:
             raise InvalidProfile(
-                f"override unit {self.unit!r} invalid for kind {self.kind.value!r}; "
+                f"override unit {self.unit!r} invalid for kind {self.kind.key!r}; "
                 f"expected one of {allowed}"
             )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HardwareProfile:
     """Assignment of exactly one level to each of the 12 functional blocks,
-    stored as `levels` in `BLOCKS` order; the constructor also takes, and
-    `assignments` gives back, a mapping from each block to its level.
+    stored as `levels`, a tuple in `BLOCKS` order; `from_mapping` builds one
+    from, and `assignments` gives back, a mapping from each block to its level.
 
     A zero table cell (e.g. actuators at level 0, meaning "no actuator") is
     a valid assignment, not an error.
@@ -221,32 +224,36 @@ class HardwareProfile:
     levels: Tuple[HSL, ...]
     overrides: Tuple[ComponentOverride, ...] = ()
 
-    def __init__(self, name: str,
-                 assignments: Union[Mapping[FunctionalBlock, HSL], Tuple[HSL, ...]],
-                 overrides: Sequence[ComponentOverride] = ()):
-        if not isinstance(assignments, tuple):
-            missing = [b for b in BLOCKS if b not in assignments]
-            if missing:
-                missing = ", ".join(b.key for b in missing)
-                raise InvalidProfile(f"profile {name!r} misses blocks: {missing}")
-            extra = [b for b in assignments if not isinstance(b, FunctionalBlock)]
-            if extra:
-                raise InvalidProfile(f"profile {name!r} has non-block keys: {extra}")
-            assignments = tuple(assignments[b] for b in BLOCKS)
-        if len(assignments) != len(BLOCKS):
-            raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(assignments)}")
-        for block, level in zip(BLOCKS, assignments):
+    def __post_init__(self):
+        name, levels = self.name, self.levels
+        if not isinstance(levels, tuple):
+            raise InvalidProfile(f"profile {name!r}: levels must be a tuple in block order, "
+                                 f"got {type(levels).__name__}")
+        if len(levels) != len(BLOCKS):
+            raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(levels)}")
+        for block, level in zip(BLOCKS, levels):
             if not (isinstance(level, HSL) and (block, level) in _DEFINED):
                 shown = level.key if isinstance(level, HSL) else repr(level)
                 raise InvalidProfile(f"profile {name!r}: {block.key} cannot be assigned {shown}")
         overridden = set()
-        for ov in overrides:
+        for ov in self.overrides:
             if ov.block in overridden:
                 raise InvalidProfile(f"profile {name!r}: multiple overrides target {ov.block.key}")
             overridden.add(ov.block)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "levels", assignments)
-        object.__setattr__(self, "overrides", tuple(overrides))
+        object.__setattr__(self, "overrides", tuple(self.overrides))
+
+    @classmethod
+    def from_mapping(cls, name: str, assignments: Mapping[FunctionalBlock, HSL],
+                     overrides: Tuple[ComponentOverride, ...] = ()) -> "HardwareProfile":
+        """The profile that gives each block the level `assignments` maps it to."""
+        missing = [b for b in BLOCKS if b not in assignments]
+        if missing:
+            missing = ", ".join(b.key for b in missing)
+            raise InvalidProfile(f"profile {name!r} misses blocks: {missing}")
+        extra = [b for b in assignments if not isinstance(b, FunctionalBlock)]
+        if extra:
+            raise InvalidProfile(f"profile {name!r} has non-block keys: {extra}")
+        return cls(name, tuple(assignments[b] for b in BLOCKS), overrides)
 
     @property
     def assignments(self) -> Dict[FunctionalBlock, HSL]:
@@ -263,25 +270,20 @@ class HardwareProfile:
         return cls(name, tuple(min(level, valid_levels(b)[-1]) for b in BLOCKS))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FootprintEstimate:
-    """Per-block emission triples plus their componentwise total, stored as
-    one EmissionTriple per block in `BLOCKS` order; the constructor also
-    takes, and `per_block` gives back, a mapping to those same objects."""
+    """Per-block emission triples, one EmissionTriple per block in `BLOCKS`
+    order, plus their componentwise `total`, computed by `triple_sum`;
+    `per_block` maps each block to those same objects."""
 
     profile_name: str
     triples: Tuple[EmissionTriple, ...]
-    total: EmissionTriple
+    total: EmissionTriple = field(init=False)
 
-    def __init__(self, profile_name: str, per_block: Union[
-            Mapping[FunctionalBlock, EmissionTriple], Tuple[EmissionTriple, ...]]):
-        if not isinstance(per_block, tuple) and set(per_block) == set(BLOCKS):
-            per_block = tuple(per_block[b] for b in BLOCKS)
-        if not isinstance(per_block, tuple) or len(per_block) != len(BLOCKS):
-            raise InvalidProfile(f"estimate for {profile_name!r} must cover all 12 blocks")
-        object.__setattr__(self, "profile_name", profile_name)
-        object.__setattr__(self, "triples", per_block)
-        object.__setattr__(self, "total", triple_sum(per_block))
+    def __post_init__(self):
+        if not isinstance(self.triples, tuple) or len(self.triples) != len(BLOCKS):
+            raise InvalidProfile(f"estimate for {self.profile_name!r} must cover all 12 blocks")
+        object.__setattr__(self, "total", triple_sum(self.triples))
 
     @property
     def per_block(self) -> Dict[FunctionalBlock, EmissionTriple]:

@@ -155,7 +155,7 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
             section.line))
     elif not section.bad:
         profiles.append(HardwareProfile(
-            section.name, tuple(section.levels), [ov for ov, _ in section.overrides.values()]))
+            section.name, tuple(section.levels), tuple(ov for ov, _ in section.overrides.values())))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
@@ -279,7 +279,7 @@ def render_profiles(document: ProfileDocument) -> str:
             qty = f"{quantity:g}"
             if float(qty) != quantity:
                 qty = repr(quantity)
-            lines.append(f"override.{ov.block.key} = {ov.kind.value}:{qty}{ov.unit}@{factor}")
+            lines.append(f"override.{ov.block.key} = {ov.kind.key}:{qty}{ov.unit}@{factor}")
     return "\n".join(lines) + "\n"
 
 

@@ -90,6 +90,37 @@ class TestEstimate:
         assert first.output == second.output
 
 
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_override_warnings_reach_every_format(self, runner, tmp_path, table, units, fmt):
+        # Overrides on blocks at hsl0, whose cells are zero, each earn a warning.
+        text = "format_version = 1\n"
+        for name, overrides in [
+            ("first", ["override.user_interface = mass_scaled:10g@ndfeb_speaker_per_kg",
+                       "override.actuators = unit_count:2u@alkaline_aa_per_unit"]),
+            ("quiet", []),
+            ("second", ["override.actuators = unit_count:1u@alkaline_aa_per_unit"]),
+        ]:
+            text += f"[{name}]\n" + "".join(f"{b.key} = hsl0\n" for b in FunctionalBlock)
+            text += "".join(line + "\n" for line in overrides)
+        path = tmp_path / "warned.iotprof"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        assert result.exit_code == 0
+        reports = batch_evaluate(parse_profiles(text).profiles, table, units)
+        assert result.stdout == render_reports(reports, fmt)
+        warnings = [(name, f"override on {block} replaces an absent-feature cell "
+                                 f"({block} at hsl0 is zero); check the profile")
+                    for name, block in [("first", "actuators"), ("first", "user_interface"),
+                                        ("second", "actuators")]]
+        if fmt == "table":
+            assert result.stderr == ""
+            assert [line for line in result.stdout.splitlines() if line.startswith("warning:")] \
+                == [f"warning: {warning}" for _, warning in warnings]
+        else:
+            assert result.stderr == "".join(
+                f"warning: profile '{name}': {warning}\n" for name, warning in warnings)
+
+
 class TestValidate:
     def test_valid_file(self, runner):
         result = runner.invoke(main, ["validate", str(FIXTURES / "valid.iotprof")])

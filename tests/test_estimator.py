@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from edgelca.errors import (
     BatchEvaluationError,
     EdgeLcaError,
     InvalidOverrideUnit,
+    InvalidProfile,
     UnknownFactorKey,
 )
 from edgelca.estimator import (
@@ -16,12 +19,14 @@ from edgelca.estimator import (
     solder_mass,
 )
 from edgelca.model import (
+    BLOCKS,
     ComponentOverride,
     FootprintEstimate,
     FunctionalBlock,
     HSL,
     HardwareProfile,
     OverrideKind,
+    triple_sum,
     valid_levels,
 )
 
@@ -107,8 +112,45 @@ class TestSharedTriples:
             if block not in overridden:
                 assert estimate.triples[i] is table.rows[i][level]
             assert estimate.per_block[block] is estimate.triples[i]
-        rebuilt = FootprintEstimate("q", estimate.per_block)
+        rebuilt = FootprintEstimate("q", tuple(estimate.per_block[b] for b in FunctionalBlock))
         assert all(a is b for a, b in zip(rebuilt.triples, estimate.triples))
+
+
+class TestReplace:
+    """`dataclasses.replace` builds through the constructor, so the copy is
+    validated and an estimate's total is computed again."""
+
+    @given(bundled_profiles(), bundled_profiles(), st.text(max_size=4))
+    def test_replace_equals_a_fresh_construction(self, table, units, profile, other, name):
+        assert replace(profile, name=name) == HardwareProfile(name, profile.levels,
+                                                              profile.overrides)
+        assert replace(profile, levels=other.levels) == HardwareProfile(
+            profile.name, other.levels, profile.overrides)
+        assert replace(profile, overrides=other.overrides) == HardwareProfile(
+            profile.name, profile.levels, other.overrides)
+        estimate = evaluate_profile(profile, table, units).estimate
+        triples = evaluate_profile(other, table, units).estimate.triples
+        replaced = replace(estimate, triples=triples)
+        assert replaced.total == triple_sum(triples) == FootprintEstimate("q", triples).total
+        assert replaced == FootprintEstimate(estimate.profile_name, triples)
+        assert replace(estimate, profile_name=name) == FootprintEstimate(name, estimate.triples)
+
+    @given(bundled_profiles(), st.data())
+    def test_replace_refuses_what_the_constructor_refuses(self, profile, data):
+        security = BLOCKS.index(FunctionalBlock.SECURITY)
+        forbidden = data.draw(st.sampled_from([HSL.HSL2, HSL.HSL3, 1, "hsl0", None]))
+        with pytest.raises(InvalidProfile, match="security cannot be assigned"):
+            replace(profile, levels=profile.levels[:security] + (forbidden,)
+                    + profile.levels[security + 1:])
+        length = data.draw(st.integers(min_value=0, max_value=24).filter(lambda n: n != 12))
+        with pytest.raises(InvalidProfile, match=f"needs one level per block, got {length}"):
+            replace(profile, levels=(profile.levels * 2)[:length])
+        block = data.draw(st.sampled_from(FunctionalBlock))
+        second = ComponentOverride(block, OverrideKind.UNIT_COUNT, 1.0, "u",
+                                   "alkaline_aa_per_unit")
+        overrides = tuple(ov for ov in profile.overrides if ov.block is not block)
+        with pytest.raises(InvalidProfile, match=f"multiple overrides target {block.key}"):
+            replace(profile, overrides=overrides + (second, second))
 
 
 class TestMonotonicity:
@@ -242,7 +284,7 @@ class TestOverrides:
 
     def test_override_replaces_cell(self, table, units):
         base = HardwareProfile.uniform("base", HSL.HSL1)
-        with_ov = HardwareProfile(
+        with_ov = HardwareProfile.from_mapping(
             name="base",
             assignments=dict(base.assignments),
             overrides=(self._mass(48),),
@@ -268,7 +310,7 @@ class TestOverrides:
             unit="g",
             factor_key="ndfeb_speaker_per_kg",
         )
-        with_ov = HardwareProfile(
+        with_ov = HardwareProfile.from_mapping(
             name="min",
             assignments=dict(base.assignments),
             overrides=(speaker,),
@@ -280,7 +322,7 @@ class TestOverrides:
     def test_duplicate_override_rejected(self, table, units):
         base = HardwareProfile.uniform("dup", HSL.HSL1)
         with pytest.raises(EdgeLcaError, match="multiple overrides"):
-            with_ov = HardwareProfile(
+            with_ov = HardwareProfile.from_mapping(
                 name="dup",
                 assignments=dict(base.assignments),
                 overrides=(self._mass(10), self._mass(20)),
@@ -300,7 +342,7 @@ class TestBatch:
 
     def test_failure_carries_index(self, table, units):
         good = HardwareProfile.uniform("good", HSL.HSL1)
-        bad = HardwareProfile(
+        bad = HardwareProfile.from_mapping(
             name="bad",
             assignments=dict(good.assignments),
             overrides=(

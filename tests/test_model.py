@@ -125,20 +125,20 @@ class TestProfile:
         return {b: level for b in FunctionalBlock}
 
     def test_valid_profile(self):
-        p = HardwareProfile(name="p", assignments=self._full_assignments())
+        p = HardwareProfile.from_mapping(name="p", assignments=self._full_assignments())
         assert p.level_of(FunctionalBlock.PCB) is HSL.HSL0
 
     def test_missing_block_rejected(self):
         assignments = self._full_assignments()
         del assignments[FunctionalBlock.TRANSPORT]
         with pytest.raises(InvalidProfile, match="transport"):
-            HardwareProfile(name="p", assignments=assignments)
+            HardwareProfile.from_mapping(name="p", assignments=assignments)
 
     def test_forbidden_security_rejected(self):
         assignments = self._full_assignments()
         assignments[FunctionalBlock.SECURITY] = HSL.HSL2
         with pytest.raises(InvalidProfile, match="security"):
-            HardwareProfile(name="p", assignments=assignments)
+            HardwareProfile.from_mapping(name="p", assignments=assignments)
 
     def test_uniform_caps_security(self):
         p = HardwareProfile.uniform("complex", HSL.HSL3)
@@ -150,7 +150,7 @@ class TestProfile:
         assignments = self._full_assignments()
         assignments[FunctionalBlock.MEMORY] = level
         with pytest.raises(InvalidProfile, match=f"memory cannot be assigned {level!r}"):
-            HardwareProfile(name="p", assignments=assignments)
+            HardwareProfile.from_mapping(name="p", assignments=assignments)
 
     @pytest.mark.parametrize("level", [7, 2, -1, True, "hsl1", None])
     def test_uniform_level_that_is_not_an_hsl_rejected(self, level):
@@ -162,7 +162,7 @@ class TestProfile:
     def test_level_tuple_in_block_order_equals_mapping(self):
         levels = tuple(valid_levels(b)[-1] for b in FunctionalBlock)
         p = HardwareProfile("p", levels)
-        assert p == HardwareProfile("p", dict(zip(FunctionalBlock, levels)))
+        assert p == HardwareProfile.from_mapping("p", dict(zip(FunctionalBlock, levels)))
         assert p.assignments == dict(zip(FunctionalBlock, levels))
         assert p.level_of(FunctionalBlock.SECURITY) is HSL.HSL1
 
@@ -171,17 +171,33 @@ class TestProfile:
         with pytest.raises(InvalidProfile, match="needs one level per block"):
             HardwareProfile("p", levels)
 
+    @pytest.mark.parametrize("levels", [[HSL.HSL0] * 12, dict.fromkeys(FunctionalBlock, HSL.HSL0)])
+    def test_levels_that_are_not_a_tuple_rejected(self, levels):
+        # A mapping goes through from_mapping; a list would leave the profile mutable.
+        message = f"'p': levels must be a tuple in block order, got {type(levels).__name__}"
+        with pytest.raises(InvalidProfile, match=message):
+            HardwareProfile("p", levels)
+
     def test_second_override_of_a_block_rejected(self):
         def speaker(grams):
             return ComponentOverride(FunctionalBlock.USER_INTERFACE, OverrideKind.MASS_SCALED,
                                      grams, "g", "ndfeb_speaker_per_kg")
 
         with pytest.raises(InvalidProfile, match="'p': multiple overrides target user_interface"):
-            HardwareProfile("p", self._full_assignments(), (speaker(1), speaker(2)))
+            HardwareProfile.from_mapping("p", self._full_assignments(), (speaker(1), speaker(2)))
 
 
 def test_triple_sum_empty_is_zero():
     assert triple_sum([]) == ZERO_TRIPLE
+
+
+@pytest.mark.parametrize("triples", [
+    (ZERO_TRIPLE,) * 11, (ZERO_TRIPLE,) * 13, [ZERO_TRIPLE] * 12,
+    dict.fromkeys(FunctionalBlock, ZERO_TRIPLE),
+])
+def test_estimate_takes_one_triple_per_block_as_a_tuple(triples):
+    with pytest.raises(InvalidProfile, match="estimate for 'p' must cover all 12 blocks"):
+        FootprintEstimate("p", triples)
 
 
 def spread_triples():
@@ -192,11 +208,10 @@ def spread_triples():
 
 
 class TestSummationOrder:
-    @given(st.lists(spread_triples(), min_size=12, max_size=12),
-           st.permutations(list(FunctionalBlock)))
-    def test_total_is_a_left_to_right_sum_in_block_order(self, cells, insertion_order):
+    @given(st.lists(spread_triples(), min_size=12, max_size=12))
+    def test_total_is_a_left_to_right_sum_in_block_order(self, cells):
         per_block = dict(zip(FunctionalBlock, cells))
-        estimate = FootprintEstimate("p", {b: per_block[b] for b in insertion_order})
+        estimate = FootprintEstimate("p", tuple(cells))
         low = typical = up = 0.0
         for block in FunctionalBlock:
             low += per_block[block].low
@@ -206,6 +221,6 @@ class TestSummationOrder:
 
     def test_twelve_cells_of_a_tenth(self):
         # Python 3.12's sum() compensates and gives 1.2000000000000002 here.
-        estimate = FootprintEstimate("p", {b: EmissionTriple(0.1, 0.1, 0.1) for b in FunctionalBlock})
+        estimate = FootprintEstimate("p", (EmissionTriple(0.1, 0.1, 0.1),) * 12)
         assert estimate.total.low == 1.2
         assert triple_sum(estimate.per_block.values()) == estimate.total

@@ -5,6 +5,7 @@ import json
 import math
 import pstats
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -83,7 +84,7 @@ def overrides(draw):
 @st.composite
 def documents(draw):
     profiles = tuple(
-        HardwareProfile(
+        HardwareProfile.from_mapping(
             name=name,
             assignments={b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
             overrides=tuple(draw(st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block))),
@@ -108,12 +109,12 @@ def reports(draw, names):
     def triple():
         return EmissionTriple(*sorted(draw(st.tuples(REPORT_VALUES, REPORT_VALUES, REPORT_VALUES))))
 
-    profile = HardwareProfile(
+    profile = HardwareProfile.from_mapping(
         draw(names),
         {b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
         draw(st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
     )
-    estimate = FootprintEstimate(profile.name, {b: triple() for b in FunctionalBlock})
+    estimate = FootprintEstimate(profile.name, tuple(triple() for b in FunctionalBlock))
     return EvaluationReport(profile, estimate)
 
 
@@ -146,18 +147,18 @@ def enum_files(work):
     return [f for f in files if f.endswith("enum.py")]
 
 
-def enum_frames(text, table, units):
-    """The enum.py files seen while `text` is parsed, evaluated and rendered
-    in every report format."""
+def enum_frames(document, table, units):
+    """The enum.py files seen while `document` is rendered, parsed back,
+    evaluated and rendered in every report format."""
     def work():
-        batch = batch_evaluate(parse_profiles(text).profiles, table, units)
+        batch = batch_evaluate(parse_profiles(render_profiles(document)).profiles, table, units)
         for fmt in REPORT_FORMATS:
             render_reports(batch, fmt)
     return enum_files(work)
 
 
 def single_override_document(override):
-    levels = HardwareProfile.uniform("p", HSL.HSL1).assignments
+    levels = HardwareProfile.uniform("p", HSL.HSL1).levels
     return ProfileDocument(1, (HardwareProfile("p", levels, (override,)),))
 
 
@@ -322,7 +323,7 @@ class TestRoundTrip:
         override = ComponentOverride(
             FunctionalBlock.MEMORY, OverrideKind.MASS_SCALED, quantity, "g", factor_key
         )
-        levels = HardwareProfile.uniform(name, HSL.HSL1).assignments
+        levels = HardwareProfile.uniform(name, HSL.HSL1).levels
         doc = ProfileDocument(1, (HardwareProfile(name, levels, (override,)),), annotations)
         with pytest.raises(InvalidProfile, match="cannot be written"):
             render_profiles(doc)
@@ -336,7 +337,7 @@ class TestRoundTrip:
         override = ComponentOverride(
             FunctionalBlock.MEMORY, OverrideKind.MASS_SCALED, 1.0, "g", "a@b=[c]"
         )
-        levels = HardwareProfile.uniform("p", HSL.HSL1).assignments
+        levels = HardwareProfile.uniform("p", HSL.HSL1).levels
         doc = ProfileDocument(
             1,
             (HardwareProfile("[a b=c", levels, (override,)),),
@@ -430,10 +431,30 @@ class TestReportRendering:
             for report in batch for block, level, triple in report_rows(report)
         ]
 
+    @given(st.lists(reports(st.text(alphabet=st.characters(blacklist_characters="\n"))),
+                    max_size=3))
+    def test_table_rows_property(self, batch):
+        # Columns: block in 16 characters, level in 10, then the three values,
+        # each with two decimals, right-aligned but unseparated once wider.
+        text = render_reports(batch, "table")
+        assert text == "" or text.endswith("\n")
+        chunks = text.removesuffix("\n").split("\n\n") if text else []
+        assert len(chunks) == len(batch)
+        values = r" *(-?\d+\.\d\d)" * 3
+        for report, chunk in zip(batch, chunks):
+            title, header, *rows = chunk.split("\n")
+            assert title == f"profile: {report.estimate.profile_name}"
+            assert header.split() == ["block", "level", "low", "typical", "up"]
+            assert [(row[:16].rstrip(), row[16:26].rstrip(),
+                     *re.fullmatch(values, row[26:]).groups()) for row in rows] == [
+                (block, level, f"{triple.low:.2f}", f"{triple.typical:.2f}", f"{triple.up:.2f}")
+                for block, level, triple in report_rows(report)
+            ]
+
     def test_estimate_path_runs_no_enum_code(self, table, units):
-        text = render_profiles(ProfileDocument(1, tuple(
-            HardwareProfile.uniform(f"p{level}", level) for level in HSL)))
-        assert not enum_frames(text, table, units)
+        document = ProfileDocument(1, tuple(
+            HardwareProfile.uniform(f"p{level}", level) for level in HSL))
+        assert not enum_frames(document, table, units)
 
     def test_override_path_runs_no_enum_code(self, table, units):
         # One override of each kind, on blocks at hsl1, so no warning is built.
@@ -451,9 +472,10 @@ class TestReportRendering:
                               "solder_paste_per_kg"),
         )
         levels = HardwareProfile.uniform("p", HSL.HSL1).levels
-        text = render_profiles(ProfileDocument(1, (HardwareProfile("p", levels, overrides),)))
-        assert {ov.kind for ov in parse_profiles(text).profiles[0].overrides} == set(OverrideKind)
-        assert not enum_frames(text, table, units)
+        document = ProfileDocument(1, (HardwareProfile("p", levels, overrides),))
+        assert not enum_frames(document, table, units)
+        parsed = parse_profiles(render_profiles(document))
+        assert {ov.kind for ov in parsed.profiles[0].overrides} == set(OverrideKind)
 
     def test_block_names_in_messages_run_no_enum_code(self, table, units):
         # Forbidden-combination and missing-block diagnostics, and an

@@ -80,7 +80,7 @@ class TestContributions:
         per_block = {
             b: table.lookup(b, HSL.HSL0) for b in FunctionalBlock
         }
-        est = FootprintEstimate(profile_name="min", per_block=per_block)
+        est = FootprintEstimate(profile_name="min", triples=tuple(per_block.values()))
         shares = block_contributions(est)
         # Power supply dominates the minimal device: 0.52 of 0.96.
         assert shares[FunctionalBlock.POWER_SUPPLY] == pytest.approx(0.52 / 0.96)
@@ -89,7 +89,7 @@ class TestContributions:
 
     def test_zero_total_raises(self):
         per_block = {b: EmissionTriple(0, 0, 0) for b in FunctionalBlock}
-        est = FootprintEstimate(profile_name="empty", per_block=per_block)
+        est = FootprintEstimate(profile_name="empty", triples=tuple(per_block.values()))
         with pytest.raises(ZeroTotal):
             block_contributions(est)
 
@@ -105,7 +105,7 @@ class TestContributions:
             b: EmissionTriple(0.0, v, v)
             for b, v in zip(FunctionalBlock, typicals)
         }
-        est = FootprintEstimate(profile_name="p", per_block=per_block)
+        est = FootprintEstimate(profile_name="p", triples=tuple(per_block.values()))
         if est.total.typical == 0.0:
             with pytest.raises(ZeroTotal):
                 block_contributions(est)
