@@ -171,6 +171,16 @@ def csv_field(text: str) -> str:
     return text
 
 
+def split_lines(text: str) -> List[str]:
+    """`text` cut at its line breaks: LF, CRLF and a lone CR.
+
+    Unlike `str.splitlines`, no other character ends a line, so a form feed
+    or U+2028 in a comment keeps the line numbers `grep -n` shows. Text that
+    this leaves whole fits on one line of a data or profile file.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_float(text: str, line_no: int, column: int) -> float:
     try:
         return float(text)
@@ -189,7 +199,7 @@ def read_rows(text: str, header: List[str], empty_message: str):
     meta = {}
     rows = []
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -229,7 +239,7 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
             level = HSL.from_key(fields[1])
         except KeyError as exc:
             # The level field starts right after the first field as written.
-            first = next(csv.reader([text.splitlines()[line_no - 1].strip()]))[0]
+            first = next(csv.reader([split_lines(text)[line_no - 1].strip()]))[0]
             raise FactorParseError(str(exc), line_no, len(first) + 2) from None
         if not is_valid_cell(block, level):
             raise ForbiddenCell(
@@ -309,7 +319,7 @@ def serialize_unit_registry(registry: UnitFactorRegistry) -> str:
     for key in sorted(registry.entries):
         e = registry.entries[key]
         for what, text in (("key", key), ("note", e.note)):
-            if (text != text.strip() or "".join(text.splitlines()) != text
+            if (text != text.strip() or len(split_lines(text)) > 1
                     or what == "key" and (not key or key.startswith("#"))):
                 raise EdgeLcaError(f"{what} {text!r} cannot be written to a unit-registry file")
         if isinstance(e.value, EmissionTriple):

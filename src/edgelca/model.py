@@ -85,6 +85,10 @@ CELLS = tuple(
     if not (block is FunctionalBlock.SECURITY and level >= HSL.HSL2)
 )
 _DEFINED = frozenset(CELLS)
+#: The levels each block may take, as a frozenset at the block's position in
+#: `BLOCKS`; profile and parser checks read this, not `_DEFINED`, so a level
+#: check builds no (block, level) tuple.
+_VALID_LEVELS = tuple(frozenset(lv for b, lv in CELLS if b is block) for block in BLOCKS)
 
 
 def is_valid_cell(block: FunctionalBlock, level: HSL) -> bool:
@@ -231,8 +235,8 @@ class HardwareProfile:
                                  f"got {type(levels).__name__}")
         if len(levels) != len(BLOCKS):
             raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(levels)}")
-        for block, level in zip(BLOCKS, levels):
-            if not (isinstance(level, HSL) and (block, level) in _DEFINED):
+        for block, level, allowed in zip(BLOCKS, levels, _VALID_LEVELS):
+            if not (isinstance(level, HSL) and level in allowed):
                 shown = level.key if isinstance(level, HSL) else repr(level)
                 raise InvalidProfile(f"profile {name!r}: {block.key} cannot be assigned {shown}")
         overridden = set()

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EdgeLcaError, InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
-from .factors import csv_field
+from .factors import csv_field, split_lines
 from .model import (
     BLOCKS,
     ComponentOverride,
@@ -32,7 +32,7 @@ from .model import (
     HSL,
     HardwareProfile,
     OverrideKind,
-    valid_levels,
+    _VALID_LEVELS,
 )
 
 SUPPORTED_FORMAT_VERSION = 1
@@ -75,7 +75,12 @@ _OVERRIDE_RE = re.compile(
 #: Keyed by lower-cased key, as FunctionalBlock.from_key and HSL.from_key look up.
 _POSITIONS = {block.key: position for position, block in enumerate(BLOCKS)}
 _LEVELS = {level.key: level for level in HSL}
-_VALID_LEVELS = tuple(valid_levels(block) for block in BLOCKS)
+#: Each defined cell's level line, lower-cased and with each whitespace run
+#: made one space, to (position, level). Block and level keys hold no space,
+#: so a space or none on either side of the `=` covers every spelling.
+_CELL_LINES = {f"{block.key}{left}={right}{level.key}": (position, level)
+               for position, (block, allowed) in enumerate(zip(BLOCKS, _VALID_LEVELS))
+               for level in allowed for left in ("", " ") for right in ("", " ")}
 
 
 def _value_column(raw_line: str, value: str) -> int:
@@ -99,8 +104,9 @@ class _Section:
 
 def _section_entry(section: _Section, key: str, value: str, line_no: int,
                    raw: str) -> Optional[Diagnostic]:
-    """Record one `key = value` entry of `section`, or return the one
-    diagnostic it earns."""
+    """Record one override of `section`, or return the one diagnostic a
+    `key = value` entry earns; a level line that assigns its block never
+    comes here."""
     is_override = key.startswith("override.")
     block_key = key[len("override."):] if is_override else key
     position = _POSITIONS.get(block_key.strip().lower())
@@ -135,12 +141,10 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
     if section.lines[position]:
         return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already assigned on line "
                           f"{section.lines[position]}", line_no)
-    if level not in _VALID_LEVELS[position]:
-        return Diagnostic(FORBIDDEN_COMBINATION, f"{block.key} cannot be assigned {level.key}",
-                          line_no, _value_column(raw, value))
-    section.levels[position] = level
-    section.lines[position] = line_no
-    return None
+    # Every defined cell of an unassigned block is one of `_CELL_LINES`, which
+    # `validate_profiles` assigns before it calls this.
+    return Diagnostic(FORBIDDEN_COMBINATION, f"{block.key} cannot be assigned {level.key}",
+                      line_no, _value_column(raw, value))
 
 
 def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
@@ -169,8 +173,17 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(split_lines(text), start=1):
+        line = raw.split("#", 1)[0]
+        # A level line that can assign its block does so here; under a rejected
+        # header it writes levels that are never read.
+        cell = _CELL_LINES.get(" ".join(line.lower().split()))
+        if cell is not None and section is not None and not section.lines[cell[0]]:
+            position, level = cell
+            section.levels[position] = level
+            section.lines[position] = line_no
+            continue
+        line = line.strip()
         if not line:
             continue
         m = _SECTION_RE.match(line) if line[0] == "[" else None
@@ -247,7 +260,7 @@ def load_profiles(path) -> ProfileDocument:
 def _carried(text: str, what: str, fits: bool) -> None:
     """Raise InvalidProfile unless one `.iotprof` line can hold `text`
     unchanged: `fits`, no `#` and no line break."""
-    if not fits or "#" in text or "".join(text.splitlines()) != text:
+    if not fits or "#" in text or len(split_lines(text)) > 1:
         raise InvalidProfile(f"{what} {text!r} cannot be written to a profile file")
 
 

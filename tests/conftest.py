@@ -1,8 +1,14 @@
 import re
 
 import pytest
+from hypothesis import settings
 
 from edgelca import defaults
+
+# Each falsifying example comes with a @reproduce_failure blob, so a failure
+# seen only in CI can be replayed locally.
+settings.register_profile("edgelca", print_blob=True)
+settings.load_profile("edgelca")
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::.*criterion_(\d+)")
 

@@ -11,6 +11,10 @@ from edgelca.model import FunctionalBlock, valid_levels
 
 PROFILE_SPACE_SIZE = 2 * 4**11
 
+#: Characters `str.splitlines` ends a line at that `.iotprof` and the data
+#: CSVs read as line content; only LF, CRLF and a lone CR break a line.
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 def brute_force_extrema(table):
     """Exhaustive (min sum-of-low, max sum-of-up) over all valid profiles.

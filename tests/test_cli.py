@@ -90,6 +90,44 @@ class TestEstimate:
         assert first.output == second.output
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_exit_one_writes_nothing_property(self, table, units, data):
+        # Profiles whose override names an unknown factor key fail evaluation.
+        count = data.draw(st.integers(1, 20))
+        failing = sorted(data.draw(st.sets(st.integers(0, count - 1), max_size=2)))
+        lines = ["format_version = 1"]
+        for index in range(count):
+            lines.append(f"[p{index}]")
+            lines += [f"{b.key} = {data.draw(st.sampled_from(valid_levels(b))).key}"
+                      for b in FunctionalBlock]
+            if index in failing:
+                lines.append("override.memory = mass_scaled:1g@no_such_key")
+        text = "\n".join(lines) + "\n"
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "doc.iotprof"
+            path.write_text(text, encoding="utf-8")
+            for fmt in REPORT_FORMATS:
+                for out in (None, "new", "existing"):
+                    target = Path(directory) / f"{fmt}-{out}.out"
+                    if out == "existing":
+                        target.write_text("earlier output\n", encoding="utf-8")
+                    result = runner.invoke(main, ["estimate", str(path), "--format", fmt]
+                                           + (["--out", str(target)] if out else []))
+                    written = target.read_text(encoding="utf-8") if target.exists() else None
+                    if not failing:
+                        assert result.exit_code == 0
+                        reports = batch_evaluate(parse_profiles(text).profiles, table, units)
+                        assert (written if out else result.stdout) == render_reports(reports, fmt)
+                        continue
+                    assert result.exit_code == 1
+                    assert result.stdout == ""
+                    assert result.stderr == (f"error: profile #{failing[0]} ('p{failing[0]}'): "
+                                             "override on memory: unknown factor key "
+                                             "'no_such_key'\n")
+                    assert written == ("earlier output\n" if out == "existing" else None)
+
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
     def test_override_warnings_reach_every_format(self, runner, tmp_path, table, units, fmt):
         # Overrides on blocks at hsl0, whose cells are zero, each earn a warning.

@@ -23,6 +23,7 @@ from edgelca.factors import (
 )
 from edgelca.projection import parse_scenarios, parse_trends
 from edgelca.model import EmissionTriple, FunctionalBlock, HSL, valid_levels
+from oracles import NOT_LINE_BREAKS
 
 MINIMAL_UNITS = """key,value,unit,note
 li_ion_per_kg,25,kgCO2-eq/kg,
@@ -171,6 +172,14 @@ class TestFactorTable:
             parse_factor_table("block,level,low,typical,up\n" + row + "\n")
         assert (info.value.line, info.value.column) == (2, column)
 
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_only_cr_and_lf_break_lines(self, table, char):
+        comment = f"# supplier note{char}see sheet 2\n"
+        assert parse_factor_table(comment + serialize_factor_table(table)) == table
+        with pytest.raises(FactorParseError, match="hsl9") as info:
+            parse_factor_table(comment + "block,level,low,typical,up\nactuators,hsl9,0,0,0\n")
+        assert (info.value.line, info.value.column) == (3, 11)
+
     def test_whitespace_around_fields_ignored(self, table):
         text = serialize_factor_table(table).replace(
             "processing,hsl3,2.31,3.13,3.98", "  processing , hsl3 ,2.31, 3.13 ,3.98"
@@ -260,7 +269,7 @@ class TestUnitRegistry:
         assert parse_unit_registry(text).entries == registry.entries
 
     @pytest.mark.parametrize("key, note", [
-        ("", ""), ("#x", ""), (" y", ""), ("y ", ""), ("a\nb", ""), ("a\x0bb", ""),
+        ("", ""), ("#x", ""), (" y", ""), ("y ", ""), ("a\nb", ""), ("a\r\nb", ""),
         ("k", " n"), ("k", "n "), ("k", "a\rb"),
     ])
     def test_serialize_refuses_what_it_cannot_carry(self, units, key, note):
@@ -271,7 +280,9 @@ class TestUnitRegistry:
 
     def test_serialize_keeps_what_it_can_carry(self, units):
         entries = dict(units.entries)
-        for key, note in (("a#b", "# n"), ('"x, y"', 'a "b", c'), ("k", "")):
+        # Only CR and LF break a line; a vertical tab or U+2028 stays in its field.
+        for key, note in (("a#b", "# n"), ('"x, y"', 'a "b", c'), ("k", ""),
+                          ("a\x0bb", "n\u2028m")):
             entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
         registry = UnitFactorRegistry(entries)
         assert parse_unit_registry(serialize_unit_registry(registry)).entries == registry.entries
@@ -302,6 +313,13 @@ class TestDataFileGrammar:
         parse, header = DATA_PARSERS[kind]
         with pytest.raises(FactorParseError, match="header") as info:
             parse("# note\n\n" + header.replace(",", ";") + "\n")
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_only_cr_and_lf_break_lines(self, kind, char):
+        parse, header = DATA_PARSERS[kind]
+        with pytest.raises(FactorParseError, match="fields, got 2") as info:
+            parse(f"# supplier note{char}see sheet 2\n{header}\na,b\n")
         assert info.value.line == 3
 
     def test_field_count(self, kind):

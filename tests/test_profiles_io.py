@@ -44,6 +44,7 @@ from edgelca.profiles_io import (
     render_reports,
     validate_profiles,
 )
+from oracles import NOT_LINE_BREAKS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,7 +70,7 @@ TEXTS = st.one_of(NAMES, st.text(max_size=8))
 
 
 @st.composite
-def overrides(draw):
+def overrides(draw, factor_keys=TEXTS):
     kind = draw(st.sampled_from(OverrideKind))
     units = OVERRIDE_QUANTITY_UNITS[kind]
     return ComponentOverride(
@@ -77,7 +78,7 @@ def overrides(draw):
         kind=kind,
         quantity=draw(st.one_of(st.just(-0.0), st.floats(min_value=0.0, allow_infinity=False))),
         unit=draw(st.sampled_from(units + tuple(u.upper() for u in units))),
-        factor_key=draw(TEXTS),
+        factor_key=draw(factor_keys),
     )
 
 
@@ -95,27 +96,78 @@ def documents(draw):
     return ProfileDocument(format_version=1, profiles=profiles, annotations=annotations)
 
 
-#: Finite values, including large ones and the halves that rounding to two
-#: decimals has to break (0.125, 0.005).
-REPORT_VALUES = st.one_of(
-    st.floats(min_value=0.0, max_value=1e20),
-    st.sampled_from([0.0, 0.005, 0.015, 0.125, 2.675, 1e16, 2.5e17, 123456789.125]),
-)
+#: Every (block, level) line, the undefined security cells included.
+LEVEL_LINES = [f"{block.key} = {level.key}" for block in FunctionalBlock for level in HSL]
+_LEVEL_LINE_RE = re.compile(r"^(\s*)([a-z_]+) = (hsl\d)(\s*(?:#.*)?)$")
 
 
 @st.composite
-def reports(draw, names):
-    """An EvaluationReport built from drawn parts, not by the evaluator."""
-    def triple():
-        return EmissionTriple(*sorted(draw(st.tuples(REPORT_VALUES, REPORT_VALUES, REPORT_VALUES))))
+def parser_documents(draw):
+    """`render_profiles` text with lines the parser has to diagnose or skip:
+    level lines before the first header, duplicate and undefined level lines,
+    empty and duplicate headers, some indented or commented."""
+    names = draw(st.lists(NAMES, unique=True, min_size=1, max_size=4))
+    profiles = tuple(
+        HardwareProfile.from_mapping(
+            name, {b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
+            tuple(draw(st.lists(overrides(st.just("k")), max_size=2,
+                                unique_by=lambda ov: ov.block))))
+        for name in names)
+    head, *body = render_profiles(ProfileDocument(1, profiles)).split("\n")
+    injected = st.one_of(st.sampled_from(LEVEL_LINES),
+                         st.sampled_from(["[]", "[ ]"] + [f"[{name}]" for name in names]))
+    for line in draw(st.lists(injected, max_size=6)):
+        body.insert(draw(st.integers(0, len(body))), line)
+    lines = [head] + draw(st.lists(st.sampled_from(LEVEL_LINES), max_size=2)) + body
+    return "\n".join(
+        draw(st.sampled_from(["", "  ", "\t"])) + line + draw(st.sampled_from(["", " ", "  # n"]))
+        if _LEVEL_LINE_RE.match(line) else line
+        for line in lines)
 
-    profile = HardwareProfile.from_mapping(
-        draw(names),
-        {b: draw(st.sampled_from(valid_levels(b))) for b in FunctionalBlock},
-        draw(st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
-    )
-    estimate = FootprintEstimate(profile.name, tuple(triple() for b in FunctionalBlock))
-    return EvaluationReport(profile, estimate)
+
+@st.composite
+def respelled(draw, text):
+    """`text` with each level line after the first header respelled: its
+    block key and level in any case, any spacing around its `=`. Before the
+    first header a level line's diagnostic quotes the key, so it stays as is."""
+    cases = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
+    spaces = st.sampled_from(["", " ", "\t", "   "])
+
+    def respell(m):
+        return (m[1] + draw(cases)(m[2]) + draw(spaces) + "=" + draw(spaces)
+                + draw(cases)(m[3]) + m[4])
+
+    head, bracket, rest = text.partition("\n[")
+    return head + bracket + "\n".join(
+        _LEVEL_LINE_RE.sub(respell, line) for line in rest.split("\n"))
+
+
+#: Finite values, including large ones and the halves that rounding to two
+#: decimals has to break (0.125, 0.005). The listed values come first, so a
+#: failing example shrinks each value to the first of them, 0.0, without
+#: going through the float shrinker.
+REPORT_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.005, 0.015, 0.125, 2.675, 1e16, 2.5e17, 123456789.125]),
+    st.floats(min_value=0.0, max_value=1e20),
+)
+
+
+#: A triple from three drawn values, sorted into low <= typical <= up.
+TRIPLES = st.tuples(REPORT_VALUES, REPORT_VALUES, REPORT_VALUES).map(
+    lambda values: EmissionTriple(*sorted(values)))
+LEVEL_TUPLES = st.tuples(*(st.sampled_from(valid_levels(b)) for b in FunctionalBlock))
+
+
+def _report(name, levels, overrides, triples):
+    return EvaluationReport(HardwareProfile(name, levels, tuple(overrides)),
+                            FootprintEstimate(name, triples))
+
+
+def reports(names):
+    """An EvaluationReport built from drawn parts, not by the evaluator."""
+    return st.builds(_report, names, LEVEL_TUPLES,
+                     st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block),
+                     st.tuples(*[TRIPLES] * len(FunctionalBlock)))
 
 
 #: Cell objects that reports share: 0.0 and -0.0, and equal values held in
@@ -251,6 +303,38 @@ class TestParsing:
         _, diagnostics = validate_profiles(text)
         codes = {d.code for d in diagnostics}
         assert {UNKNOWN_BLOCK, UNKNOWN_LEVEL, MISSING_BLOCK} <= codes
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_only_cr_and_lf_break_lines(self, char):
+        text = f"# supplier note{char}see sheet 2\n" + read("valid.iotprof")
+        assert validate_profiles(text) == validate_profiles(read("valid.iotprof"))
+        text = text.replace(":48g@", ":1e999g@")
+        _, diagnostics = validate_profiles(text)
+        line = text[:text.index(":1e999g@")].count("\n") + 1
+        assert [(d.code, d.line, d.column) for d in diagnostics] == [(SYNTAX, line, 25)]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=ascii)
+    def test_crlf_and_lone_cr_break_lines(self, newline):
+        text = read("valid.iotprof").replace(":48g@", ":1e999g@")
+        assert validate_profiles(text.replace("\n", newline)) == validate_profiles(text)
+
+    @given(parser_documents(), st.data())
+    def test_level_line_spelling_leaves_the_result_property(self, text, data):
+        doc, diagnostics = validate_profiles(text)
+        respelled_doc, respelled_diagnostics = validate_profiles(data.draw(respelled(text)))
+        assert respelled_doc == doc
+        # The column of an undefined level follows the value as written.
+        assert ([(d.code, d.line, d.message) for d in respelled_diagnostics]
+                == [(d.code, d.line, d.message) for d in diagnostics])
+
+    @pytest.mark.parametrize(
+        "line, code",
+        [("cas ing = hsl1", UNKNOWN_BLOCK), ("power supply=hsl1", UNKNOWN_BLOCK),
+         ("casing = hsl 1", UNKNOWN_LEVEL), ("casing == hsl1", UNKNOWN_LEVEL),
+         ("casing = hsl1 hsl1", UNKNOWN_LEVEL)])
+    def test_space_inside_a_key_or_level_is_not_free(self, line, code):
+        _, diagnostics = validate_profiles(f"[p]\n{line}\n")
+        assert [d.code for d in diagnostics] == [code, MISSING_BLOCK]
 
     def test_comments_and_blank_lines_ignored(self):
         text = read("valid.iotprof").replace(
