@@ -39,12 +39,20 @@ from .sensitivity import level_series_csv, scan_extrema
 PROJECTION_SOURCES = ("CISCO", "Statista")
 
 
+#: Characters written at a time, so no encoded copy of a whole output is made.
+WRITE_SLICE = 1 << 20
+
+
 def _emit(text: str, out: Path | None):
+    # color=True: where stdout is not a terminal, click would strip what looks
+    # like an ANSI code (an ESC in a profile name), so stdout gets what --out does.
+    slices = (text[i:i + WRITE_SLICE] for i in range(0, len(text), WRITE_SLICE))
     if out is None:
-        click.echo(text, nl=False)
+        for part in slices:
+            click.echo(part, nl=False, color=True)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(slices)
 
 
 def _domain_errors(fn):

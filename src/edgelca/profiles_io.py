@@ -324,12 +324,17 @@ def _csv_row(block: str, level: str, t: EmissionTriple) -> str:
 
 
 def _render_csv(reports: Sequence[EvaluationReport]) -> str:
-    lines = [_CSV_HEADER]
-    for report, rows in _rows(reports, _csv_row):
-        name = csv_field(report.estimate.profile_name)
-        for row in rows:
-            lines.append(f"{name},{row}")
-    return "\n".join(lines) + "\n"
+    chunks = _prefixed(reports, _csv_row, lambda name: f"{csv_field(name)},")
+    return "\n".join([_CSV_HEADER, *chunks, ""])
+
+
+def _prefixed(reports: Sequence[EvaluationReport], row, prefix):
+    """One string per report: its rows, each after `prefix(profile name)`,
+    joined by newlines. The caller joins the reports, so the output is
+    built from one string per report, not one per row."""
+    for report, rows in _rows(reports, row):
+        head = prefix(report.estimate.profile_name)
+        yield head + f"\n{head}".join(rows)
 
 
 def _rows(reports: Sequence[EvaluationReport], row):
@@ -371,12 +376,11 @@ def _jsonl_row(block: str, level: str, t: EmissionTriple) -> str:
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     # Each line equals json.dumps of the dict {profile, block, level, low,
     # typical, up} with separators (", ", ": ").
-    lines = []
-    for report, rows in _rows(reports, _jsonl_row):
-        name = json.dumps(report.estimate.profile_name)
-        for row in rows:
-            lines.append(f'{{"profile": {name}, {row}')
-    return ("\n".join(lines) + "\n") if lines else ""
+    chunks = _prefixed(reports, _jsonl_row, lambda name: f'{{"profile": {json.dumps(name)}, ')
+    return "\n".join([*chunks, ""])
+
+
+_TABLE_HEADER = f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}"
 
 
 def _table_row(block: str, level: str, t: EmissionTriple) -> str:
@@ -384,12 +388,9 @@ def _table_row(block: str, level: str, t: EmissionTriple) -> str:
 
 
 def _render_table(reports: Sequence[EvaluationReport]) -> str:
-    chunks = []
-    for report, rows in _rows(reports, _table_row):
-        lines = [f"profile: {report.estimate.profile_name}"]
-        lines.append(f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}")
-        lines += rows
-        for warning in report.warnings:
-            lines.append(f"warning: {warning}")
-        chunks.append("\n".join(lines))
-    return ("\n\n".join(chunks) + "\n") if chunks else ""
+    # Each chunk ends with its own newline, so joining them leaves one blank
+    # line between profiles and no copy of the whole output is made to end it.
+    return "\n".join([
+        "\n".join([f"profile: {report.estimate.profile_name}", _TABLE_HEADER, *rows,
+                   *(f"warning: {warning}" for warning in report.warnings), ""])
+        for report, rows in _rows(reports, _table_row)])

@@ -1,13 +1,16 @@
 import re
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from edgelca import defaults
 
 # Each falsifying example comes with a @reproduce_failure blob, so a failure
-# seen only in CI can be replayed locally.
-settings.register_profile("edgelca", print_blob=True)
+# seen only in CI can be replayed locally. The explain phase is skipped: it
+# reruns a shrunk failure hundreds of times under line tracing, which made a
+# rendering property take 20-110 s to report one wrong column instead of 3 s.
+settings.register_profile("edgelca", print_blob=True,
+                          phases=tuple(phase for phase in Phase if phase is not Phase.explain))
 settings.load_profile("edgelca")
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::.*criterion_(\d+)")

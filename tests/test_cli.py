@@ -1,16 +1,26 @@
+import contextlib
 import csv
+import dataclasses
 import io
+import json
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from edgelca.cli import main
+from edgelca.cli import WRITE_SLICE, _emit, main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 from edgelca.estimator import batch_evaluate
-from edgelca.factors import EmissionFactorTable, serialize_factor_table
+from edgelca.factors import (
+    EmissionFactorTable,
+    UnitFactorRegistry,
+    serialize_factor_table,
+    serialize_unit_registry,
+)
 from edgelca.model import OVERRIDE_QUANTITY_UNITS, FunctionalBlock, OverrideKind, valid_levels
 from edgelca.profiles_io import REPORT_FORMATS, parse_profiles, render_reports
 
@@ -158,6 +168,62 @@ class TestEstimate:
             assert result.stderr == "".join(
                 f"warning: profile '{name}': {warning}\n" for name, warning in warnings)
 
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_output_over_a_write_slice_is_the_same_bytes_everywhere(
+            self, runner, tmp_path, table, units, fmt):
+        # The first name is long enough that the first slice ends inside it
+        # in every format; jsonl writes each "é" as the six characters "\u00e9".
+        width = 6 if fmt == "jsonl" else 1
+        names = ["é" * (WRITE_SLICE // width + 1), "naïve", "€uro"]
+        text = "format_version = 1\n" + "".join(
+            f"[{name}]\n" + "".join(f"{b.key} = hsl1\n" for b in FunctionalBlock)
+            for name in names)
+        path = tmp_path / "long.iotprof"
+        path.write_text(text, encoding="utf-8")
+        expected = render_reports(batch_evaluate(parse_profiles(text).profiles, table, units),
+                                  fmt)
+        rendered = json.dumps(names[0])[1:-1] if fmt == "jsonl" else names[0]
+        start = expected.index(rendered)
+        assert start < WRITE_SLICE < start + len(rendered) < len(expected)
+        out = tmp_path / f"long.{fmt}"
+        to_stdout = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        to_file = runner.invoke(main, ["estimate", str(path), "--format", fmt, "--out", str(out)])
+        assert (to_stdout.exit_code, to_file.exit_code, to_file.stdout) == (0, 0, "")
+        assert to_stdout.stdout_bytes == expected.encode("utf-8")
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_escape_in_a_profile_name_reaches_stdout(self, runner, tmp_path, fmt):
+        # click strips what looks like an ANSI colour code from output that
+        # is not a terminal; stdout must still carry what --out does. (jsonl
+        # writes the ESC as "\u001b".)
+        text = "format_version = 1\n[red\x1b[31mname]\n" + "".join(
+            f"{b.key} = hsl1\n" for b in FunctionalBlock)
+        path = tmp_path / "escape.iotprof"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"escape.{fmt}"
+        to_stdout = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        runner.invoke(main, ["estimate", str(path), "--format", fmt, "--out", str(out)])
+        assert "red\x1b[31mname" in out.read_text(encoding="utf-8")
+        assert to_stdout.stdout_bytes == out.read_bytes()
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_write_holds_about_one_slice(self, tmp_path, to_stdout):
+        text = "x" * (4 * WRITE_SLICE)
+        target = tmp_path / "written"
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                _emit(text, None if to_stdout else target)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        written = tmp_path / "stdout" if to_stdout else target
+        assert written.read_text(encoding="utf-8") == text
+        # One slice and its encoded bytes, not an encoded copy of the output.
+        assert peak <= 2.5 * WRITE_SLICE
+
 
 class TestValidate:
     def test_valid_file(self, runner):
@@ -245,6 +311,84 @@ class TestValidateAgreesWithEstimate:
             estimated = runner.invoke(main, ["estimate", str(path), "--format", fmt])
         assert {validated.exit_code, estimated.exit_code} <= {0, 1}
         assert validated.exit_code == estimated.exit_code, (validated.output, estimated.output)
+
+
+def table_rows(text):
+    """(profile, block, level, low, typical, up) per row of the table format;
+    titles, column headers, warnings and blank lines are skipped."""
+    rows = []
+    for chunk in text.removesuffix("\n").split("\n\n") if text else []:
+        title, _, *lines = chunk.split("\n")
+        for line in lines:
+            if not line.startswith("warning: "):
+                rows.append((title.removeprefix("profile: "), line[:16].rstrip(),
+                             line[16:26].rstrip(),
+                             *re.fullmatch(r" *(-?\d+\.\d\d)" * 3, line[26:]).groups()))
+    return rows
+
+
+def csv_rows(text):
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert header == ["profile", "block", "level", "low", "typical", "up"]
+    return [tuple(row) for row in rows]
+
+
+def jsonl_rows(text):
+    return [(row["profile"], row["block"], row["level"] or "",
+             *(f"{row[c]:.2f}" for c in ("low", "typical", "up")))
+            for row in map(json.loads, text.splitlines())]
+
+
+ROWS = {"csv": csv_rows, "jsonl": jsonl_rows, "table": table_rows}
+
+
+class TestFormatsAgree:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_same_rows_in_every_format_property(self, table, units, data):
+        # Every format carries the evaluator's rows: 2-decimal cells, override
+        # labels, and a TOTAL of the left-to-right sum of the unrounded cells.
+        own_units = data.draw(st.booleans(), label="--units")
+        if own_units:
+            units = UnitFactorRegistry({
+                key: dataclasses.replace(entry, value=data.draw(
+                    st.floats(min_value=0.001, max_value=100.0), label=key))
+                if entry.unit in ("kgCO2-eq/kg", "kgCO2-eq/unit") else entry
+                for key, entry in units.entries.items()})
+        lines = ["format_version = 1"]
+        for index in range(data.draw(st.integers(1, 20), label="profiles")):
+            suffix = data.draw(st.text(alphabet='é,"x', max_size=3))
+            lines.append(f"[p{index}{suffix}]")
+            lines += [f"{b.key} = {data.draw(st.sampled_from(valid_levels(b))).key}"
+                      for b in FunctionalBlock]
+            lines += data.draw(st.lists(override_lines(units), max_size=3,
+                                        unique_by=lambda line: line.split(" ")[0]))
+        text = "\n".join(lines) + "\n"
+        expected = []
+        for report in batch_evaluate(parse_profiles(text).profiles, table, units):
+            overridden = {ov.block for ov in report.applied_overrides}
+            total = [0.0, 0.0, 0.0]
+            for block, triple in zip(FunctionalBlock, report.estimate.triples):
+                level = "override" if block in overridden else report.profile.level_of(block).key
+                expected.append((report.profile.name, block.key, level,
+                                 *(f"{v:.2f}" for v in triple.as_tuple())))
+                total = [t + v for t, v in zip(total, triple.as_tuple())]
+            expected.append((report.profile.name, "TOTAL", "", *(f"{v:.2f}" for v in total)))
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "doc.iotprof"
+            path.write_text(text, encoding="utf-8")
+            units_args = []
+            if own_units:
+                units_path = Path(directory) / "units.csv"
+                units_path.write_text(serialize_unit_registry(units), encoding="utf-8")
+                units_args = ["--units", str(units_path)]
+            for fmt in REPORT_FORMATS:
+                args = ["estimate", str(path), *units_args, "--format", fmt]
+                first, second = runner.invoke(main, args), runner.invoke(main, args)
+                assert first.exit_code == 0, first.output
+                assert first.stdout_bytes == second.stdout_bytes
+                assert ROWS[fmt](first.stdout) == expected, fmt
 
 
 class TestSensitivity:

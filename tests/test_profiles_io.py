@@ -6,6 +6,7 @@ import math
 import pstats
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -584,16 +585,23 @@ class TestReportRendering:
         assert ("warning: override on actuators replaces an absent-feature cell "
                 "(actuators at hsl0 is zero); check the profile") in rendered
 
+    # Only an override's block reaches the rendered rows, as the level column
+    # "override"; its kind, quantity, unit and key are fixed, so a failing
+    # example shrinks over the blocks and triples alone.
     @given(st.lists(st.tuples(NAMES, st.lists(st.sampled_from(SHARED_TRIPLES),
                                               min_size=12, max_size=12),
-                              st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block)),
+                              st.lists(st.sampled_from(FunctionalBlock), max_size=3,
+                                       unique=True)),
                     max_size=4))
     def test_shared_cell_tuples_render_as_their_values_property(self, drawn):
         # Reports share cell objects, as the evaluator's do; equal values in
         # distinct objects, and 0.0 next to -0.0, each print as their own value.
         batch = []
-        for name, triples, profile_overrides in drawn:
+        for name, triples, blocks in drawn:
             levels = HardwareProfile.uniform(name, HSL.HSL1).levels
+            profile_overrides = tuple(
+                ComponentOverride(block, OverrideKind.MASS_SCALED, 1.0, "g", "k")
+                for block in blocks)
             batch.append(EvaluationReport(HardwareProfile(name, levels, profile_overrides),
                                           FootprintEstimate(name, tuple(triples))))
         csv_lines, jsonl_lines, table_chunks = ["profile,block,level,low,typical,up"], [], []
@@ -627,6 +635,22 @@ class TestReportRendering:
         profiler.disable()
         calls = {func: nc for (_, _, func), (_, nc, _, _, _) in pstats.Stats(profiler).stats.items()}
         assert calls["<built-in method builtins.round>"] <= 3 * (len(CELLS) + len(profiles))
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_render_peak_is_about_twice_the_output(self, table, units, fmt):
+        # One string per report and one for the whole output; no list of
+        # per-row strings and no second copy to end the output with a newline.
+        rng = random.Random(0)
+        profiles = [HardwareProfile(f"p{i}", tuple(rng.choice(valid_levels(b)) for b in FunctionalBlock))
+                    for i in range(2000)]
+        batch = batch_evaluate(profiles, table, units)
+        tracemalloc.start()
+        try:
+            result = render_reports(batch, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(result)
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):
