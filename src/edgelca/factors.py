@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     EdgeLcaError,
@@ -181,20 +181,26 @@ def split_lines(text: str) -> List[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _parse_float(text: str, line_no: int, column: int) -> float:
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise FactorParseError(f"expected a number, got {text!r}", line_no, column) from None
+        raise FactorParseError(f"expected a number, got {text!r}") from None
 
 
-def read_rows(text: str, header: List[str], empty_message: str):
-    """The grammar shared by the four data CSVs: (metadata, [(line_no, fields)]).
+def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[List[str]], object]):
+    """The grammar shared by the four data CSVs: (metadata, [row(fields)]).
 
     Blank lines and `#` comments are skipped; `# source:`, `# version:` and
     `# method:` comments fill the metadata. The first other line must be
     `header`; each later one is split by the csv module into stripped fields,
-    exactly as many as the header has.
+    exactly as many as the header has. Only once the whole file has passed
+    that check is `row` called on each data row's fields, in file order.
+
+    `row` raises its errors without a line; this adds it. A FactorParseError
+    gets the row's line and, as column, where its field (`column`, 1-based,
+    default 1) starts in the stripped line as the csv module read it. Any
+    other EdgeLcaError keeps its type under a `line N: ` prefix.
     """
     meta = {}
     rows = []
@@ -210,7 +216,8 @@ def read_rows(text: str, header: List[str], empty_message: str):
                 if body.lower().startswith(prefix):
                     meta[key] = body[len(prefix):].strip()
             continue
-        fields = [f.strip() for f in next(csv.reader([line]))]
+        written = next(csv.reader([line]))
+        fields = [f.strip() for f in written]
         if not header_seen:
             if fields != header:
                 raise FactorParseError(f"expected header {','.join(header)!r}", line_no, 1)
@@ -220,45 +227,46 @@ def read_rows(text: str, header: List[str], empty_message: str):
                 f"expected {len(header)} fields, got {len(fields)}", line_no, 1
             )
         else:
-            rows.append((line_no, fields))
+            rows.append((line_no, written, fields))
     if not header_seen:
         raise FactorParseError(empty_message, 1, 1)
-    return meta, rows
+    values = []
+    for line_no, written, fields in rows:
+        try:
+            values.append(row(fields))
+        except FactorParseError as exc:
+            column = 1 + sum(len(f) + 1 for f in written[:(exc.column or 1) - 1])
+            raise FactorParseError(exc.args[0], line_no, column) from None
+        except EdgeLcaError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
+    return meta, values
 
 
 def parse_factor_table(text: str) -> EmissionFactorTable:
     """Parse the `block,level,low,typical,up` grammar into a validated table."""
-    meta, rows = read_rows(text, FACTOR_HEADER, "empty factor file")
     cells: Dict[Tuple[FunctionalBlock, HSL], EmissionTriple] = {}
-    for line_no, fields in rows:
+
+    def cell(fields):
         try:
             block = FunctionalBlock.from_key(fields[0])
         except KeyError as exc:
-            raise FactorParseError(str(exc), line_no, 1) from None
+            raise FactorParseError(str(exc)) from None
         try:
             level = HSL.from_key(fields[1])
         except KeyError as exc:
-            # The level field starts right after the first field as written.
-            first = next(csv.reader([split_lines(text)[line_no - 1].strip()]))[0]
-            raise FactorParseError(str(exc), line_no, len(first) + 2) from None
+            raise FactorParseError(str(exc), column=2) from None
         if not is_valid_cell(block, level):
-            raise ForbiddenCell(
-                f"line {line_no}: ({block.key}, {level.key}) is not a valid combination"
-            )
-        low = _parse_float(fields[2], line_no, 1)
-        typ = _parse_float(fields[3], line_no, 1)
-        up = _parse_float(fields[4], line_no, 1)
+            raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination")
+        low, typ, up = map(_parse_float, fields[2:])
         if not (0.0 <= low <= typ <= up):
             raise InvalidOrdering(
-                f"line {line_no}: cell ({block.key}, {level.key}) has unordered "
-                f"values ({low}, {typ}, {up})"
+                f"cell ({block.key}, {level.key}) has unordered values ({low}, {typ}, {up})"
             )
         if (block, level) in cells:
-            raise FactorParseError(f"duplicate cell ({block.key}, {level.key})", line_no, 1)
-        try:
-            cells[(block, level)] = EmissionTriple(low, typ, up)
-        except InvalidTriple as exc:
-            raise InvalidTriple(f"line {line_no}: {exc}") from None
+            raise FactorParseError(f"duplicate cell ({block.key}, {level.key})")
+        cells[(block, level)] = EmissionTriple(low, typ, up)
+
+    meta, _ = read_rows(text, FACTOR_HEADER, "empty factor file", cell)
     return EmissionFactorTable(cells=cells, metadata=TableMetadata(**meta))
 
 
@@ -277,33 +285,32 @@ def serialize_factor_table(table: EmissionFactorTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_value(text: str, line_no: int):
+def _parse_value(text: str):
     """Scalar `v` or triple `low/typ/up`."""
     if "/" in text:
         parts = text.split("/")
         if len(parts) != 3:
-            raise FactorParseError(f"triple value needs 3 components, got {text!r}", line_no, 1)
-        low, typ, up = (_parse_float(p, line_no, 1) for p in parts)
+            raise FactorParseError(f"triple value needs 3 components, got {text!r}")
         try:
-            return EmissionTriple(low, typ, up)
+            return EmissionTriple(*map(_parse_float, parts))
         except InvalidTriple as exc:
-            raise FactorParseError(str(exc), line_no, 1) from None
-    return _parse_float(text, line_no, 1)
+            raise FactorParseError(str(exc)) from None
+    return _parse_float(text)
 
 
 def parse_unit_registry(text: str) -> UnitFactorRegistry:
     """Parse the `key,value,unit,note` grammar into a validated registry."""
-    _, rows = read_rows(text, UNITS_HEADER, "empty unit-registry file")
     entries: Dict[str, UnitFactor] = {}
-    for line_no, (key, value, unit, note) in rows:
+
+    def entry(fields):
+        key, value, unit, note = fields
         if not key:
-            raise FactorParseError("empty key", line_no, 1)
+            raise FactorParseError("empty key")
         if key in entries:
-            raise FactorParseError(f"duplicate key {key!r}", line_no, 1)
-        try:
-            entries[key] = UnitFactor(key=key, value=_parse_value(value, line_no), unit=unit, note=note)
-        except (InvalidTriple, UnknownUnit) as exc:
-            raise type(exc)(f"line {line_no}: {exc}") from None
+            raise FactorParseError(f"duplicate key {key!r}")
+        entries[key] = UnitFactor(key=key, value=_parse_value(value), unit=unit, note=note)
+
+    read_rows(text, UNITS_HEADER, "empty unit-registry file", entry)
     return UnitFactorRegistry(entries=entries)
 
 

@@ -212,8 +212,10 @@ def paris_pathway(
     """Reference path declining 7.6 %/year from 2020."""
     if not (0 < start_low < math.inf and 0 < start_high < math.inf):
         raise EdgeLcaError("pathway start values must be positive and finite")
-    if end_year < PARIS_START_YEAR:
-        raise EdgeLcaError(f"end year must be >= {PARIS_START_YEAR}")
+    if start_low > start_high:
+        raise EdgeLcaError(f"pathway start low {start_low} is above start high {start_high}")
+    if not (PARIS_START_YEAR <= end_year <= LAST_YEAR):
+        raise EdgeLcaError(f"end year {end_year} outside [{PARIS_START_YEAR}, {LAST_YEAR}]")
     keep = 1.0 - PARIS_ANNUAL_REDUCTION
     values = {}
     low, high = start_low, start_high
@@ -236,59 +238,51 @@ SCENARIOS_HEADER = [
 
 def parse_trends(text: str) -> List[DeploymentTrend]:
     """Parse `source,kind,year,value,extrapolated` rows into trends."""
-    grouped: Dict[Tuple[str, TrendKind], Dict[int, float]] = {}
-    flags: Dict[Tuple[str, TrendKind], set] = {}
-    _, rows = read_rows(text, TRENDS_HEADER, "empty file")
-    for line_no, fields in rows:
+    series: Dict[Tuple[str, TrendKind], Tuple[Dict[int, float], set]] = {}
+
+    def point(fields):
         source, kind_s, year_s, value_s, extra_s = fields
         try:
             kind = TrendKind(kind_s.lower())
         except ValueError:
-            raise FactorParseError(f"unknown trend kind {kind_s!r}", line_no, 1) from None
+            raise FactorParseError(f"unknown trend kind {kind_s!r}") from None
         try:
             year = int(year_s)
             value = float(value_s)
-            extrapolated = bool(int(extra_s))
-        except ValueError:
-            raise FactorParseError(f"malformed row {fields!r}", line_no, 1) from None
-        try:
-            _check_point(source, year, value)
-        except EdgeLcaError as exc:
-            raise EdgeLcaError(f"line {line_no}: {exc}") from None
-        key = (source, kind)
-        grouped.setdefault(key, {})
-        flags.setdefault(key, set())
-        if year in grouped[key]:
-            raise FactorParseError(f"duplicate year {year} for {source!r}", line_no, 1)
-        grouped[key][year] = value
+            extrapolated = {"0": False, "1": True}[extra_s]
+        except (ValueError, KeyError):
+            raise FactorParseError(f"malformed row {fields!r}") from None
+        _check_point(source, year, value)
+        points, flags = series.setdefault((source, kind), ({}, set()))
+        if year in points:
+            raise FactorParseError(f"duplicate year {year} for {source!r}")
+        points[year] = value
         if extrapolated:
-            flags[key].add(year)
+            flags.add(year)
+
+    read_rows(text, TRENDS_HEADER, "empty file", point)
     return [
-        DeploymentTrend(source=src, kind=kind, points=pts, extrapolated_years=flags[(src, kind)])
-        for (src, kind), pts in grouped.items()
+        DeploymentTrend(source=src, kind=kind, points=points, extrapolated_years=flags)
+        for (src, kind), (points, flags) in series.items()
     ]
 
 
 def parse_scenarios(text: str) -> List[Scenario]:
-    scenarios = []
     seen = set()
-    _, rows = read_rows(text, SCENARIOS_HEADER, "empty file")
-    for line_no, fields in rows:
+
+    def scenario(fields):
         name = fields[0]
         if name in seen:
-            raise FactorParseError(f"duplicate scenario {name!r}", line_no, 1)
+            raise FactorParseError(f"duplicate scenario {name!r}")
         seen.add(name)
         try:
             nums = [float(f) for f in fields[1:]]
         except ValueError:
-            raise FactorParseError(f"malformed row {fields!r}", line_no, 1) from None
-        try:
-            scenarios.append(Scenario(
-                name=name, alpha=nums[0], psi=nums[1],
-                d_simple=EmissionTriple(*nums[2:5]), d_complex=EmissionTriple(*nums[5:8])))
-        except EdgeLcaError as exc:
-            raise type(exc)(f"line {line_no}: {exc}") from None
-    return scenarios
+            raise FactorParseError(f"malformed row {fields!r}") from None
+        return Scenario(name=name, alpha=nums[0], psi=nums[1],
+                        d_simple=EmissionTriple(*nums[2:5]), d_complex=EmissionTriple(*nums[5:8]))
+
+    return read_rows(text, SCENARIOS_HEADER, "empty file", scenario)[1]
 
 
 def projection_csv(series_list: List[ProjectionSeries]) -> str:

@@ -21,7 +21,13 @@ from edgelca.factors import (
     serialize_factor_table,
     serialize_unit_registry,
 )
-from edgelca.model import OVERRIDE_QUANTITY_UNITS, FunctionalBlock, OverrideKind, valid_levels
+from edgelca.model import (
+    OVERRIDE_QUANTITY_UNITS,
+    EmissionTriple,
+    FunctionalBlock,
+    OverrideKind,
+    valid_levels,
+)
 from edgelca.profiles_io import REPORT_FORMATS, parse_profiles, render_reports
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -348,6 +354,12 @@ class TestFormatsAgree:
     def test_same_rows_in_every_format_property(self, table, units, data):
         # Every format carries the evaluator's rows: 2-decimal cells, override
         # labels, and a TOTAL of the left-to-right sum of the unrounded cells.
+        own_factors = data.draw(st.booleans(), label="--factors")
+        if own_factors:
+            table = EmissionFactorTable({
+                cell: EmissionTriple(*sorted(data.draw(
+                    st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=3, max_size=3))))
+                for cell in table.cells})
         own_units = data.draw(st.booleans(), label="--units")
         if own_units:
             units = UnitFactorRegistry({
@@ -378,13 +390,15 @@ class TestFormatsAgree:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "doc.iotprof"
             path.write_text(text, encoding="utf-8")
-            units_args = []
-            if own_units:
-                units_path = Path(directory) / "units.csv"
-                units_path.write_text(serialize_unit_registry(units), encoding="utf-8")
-                units_args = ["--units", str(units_path)]
+            data_args = []
+            for flag, own, written in (("--factors", own_factors, serialize_factor_table(table)),
+                                       ("--units", own_units, serialize_unit_registry(units))):
+                if own:
+                    data_path = Path(directory) / f"{flag[2:]}.csv"
+                    data_path.write_text(written, encoding="utf-8")
+                    data_args += [flag, str(data_path)]
             for fmt in REPORT_FORMATS:
-                args = ["estimate", str(path), *units_args, "--format", fmt]
+                args = ["estimate", str(path), *data_args, "--format", fmt]
                 first, second = runner.invoke(main, args), runner.invoke(main, args)
                 assert first.exit_code == 0, first.output
                 assert first.stdout_bytes == second.stdout_bytes
@@ -481,6 +495,17 @@ class TestPathway:
         result = runner.invoke(main, ["pathway", "--start-low", "nan"])
         assert result.exit_code == 1
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--end-year", "2029"], "end year 2029 outside [2020, 2028]"),
+        (["--start-low", "500", "--start-high", "100"],
+         "pathway start low 500.0 is above start high 100.0"),
+    ], ids=["end-year", "start-low-above-high"])
+    def test_out_of_range_input_exits_one(self, runner, args, message):
+        result = runner.invoke(main, ["pathway", *args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 class TestDataDirOverride:

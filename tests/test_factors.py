@@ -1,6 +1,9 @@
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
+from edgelca import defaults
 from edgelca.errors import (
     EdgeLcaError,
     FactorParseError,
@@ -16,10 +19,12 @@ from edgelca.factors import (
     EmissionFactorTable,
     UnitFactor,
     UnitFactorRegistry,
+    csv_field,
     parse_factor_table,
     parse_unit_registry,
     serialize_factor_table,
     serialize_unit_registry,
+    split_lines,
 )
 from edgelca.projection import parse_scenarios, parse_trends
 from edgelca.model import EmissionTriple, FunctionalBlock, HSL, valid_levels
@@ -300,6 +305,35 @@ DATA_PARSERS = {
     "scenarios": (parse_scenarios, "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up"),
 }
 
+F, O, T, E = FactorParseError, InvalidOrdering, InvalidTriple, EdgeLcaError
+BAD_NUMBERS = ("x", "nan", "inf", "-1", "1e400", "")
+#: Per bundled file and number column: the error type each of BAD_NUMBERS
+#: raises in place of that column's field, on any data row.
+BAD_NUMBER_ERRORS = {
+    "factors": {"low": (F, O, O, O, O, F), "typical": (F, O, O, O, O, F),
+                "up": (F, O, T, O, T, F)},
+    "units": {"value": (F, T, T, T, T, F)},
+    "trends": {"year": (F, F, F, E, F, F), "value": (F, E, E, E, E, F)},
+    "scenarios": {"alpha": (F, E, E, E, E, F), "psi": (F, E, E, E, E, F),
+                  **{c: (F, T, T, T, T, F)
+                     for c in ("ds_low", "ds_typ", "ds_up", "dc_low", "dc_typ", "dc_up")}},
+}
+
+
+def bundled_rows(kind):
+    """The lines of bundled `kind`.csv and the 1-based numbers of its data rows."""
+    lines = split_lines(defaults._read(f"{kind}.csv"))
+    start = lines.index(DATA_PARSERS[kind][1]) + 1
+    return lines, [n for n, line in enumerate(lines[start:], start=start + 1)
+                   if line.strip() and not line.startswith("#")]
+
+
+def with_field(lines, number, column, value):
+    """`lines` joined, with `column`'s field of line `number` set to `value`."""
+    fields = next(csv.reader([lines[number - 1]]))
+    fields[column] = value
+    return "\n".join(lines[:number - 1] + [",".join(map(csv_field, fields))] + lines[number:])
+
 
 @pytest.mark.parametrize("kind", sorted(DATA_PARSERS))
 class TestDataFileGrammar:
@@ -328,3 +362,29 @@ class TestDataFileGrammar:
         with pytest.raises(FactorParseError, match=expected) as info:
             parse(header + "\n# comment\na,b\n")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_bad_number_names_its_row(self, kind, value):
+        parse, header = DATA_PARSERS[kind]
+        lines, numbers = bundled_rows(kind)
+        for name, errors in BAD_NUMBER_ERRORS[kind].items():
+            column = header.split(",").index(name)
+            for number in numbers:
+                with pytest.raises(EdgeLcaError) as info:
+                    parse(with_field(lines, number, column, value))
+                err = info.value
+                assert type(err) is errors[BAD_NUMBERS.index(value)], (name, number, err)
+                if isinstance(err, FactorParseError):
+                    assert err.line == number, (name, err)
+                else:
+                    assert str(err).startswith(f"line {number}: "), (name, err)
+
+    def test_grammar_error_is_reported_before_a_value_error(self, kind):
+        # Rows are checked only once the whole file has passed the grammar.
+        parse, header = DATA_PARSERS[kind]
+        lines, numbers = bundled_rows(kind)
+        column = header.split(",").index(next(iter(BAD_NUMBER_ERRORS[kind])))
+        text = with_field(lines, numbers[0], column, "x").removesuffix("\n") + "\na,b\n"
+        with pytest.raises(FactorParseError, match="fields, got 2") as info:
+            parse(text)
+        assert info.value.line == len(lines)

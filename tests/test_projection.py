@@ -246,6 +246,15 @@ class TestPathway:
         with pytest.raises(EdgeLcaError):
             paris_pathway(end_year=2019)
 
+    def test_end_year_after_last_year_rejected(self):
+        with pytest.raises(EdgeLcaError, match=r"end year 2029 outside \[2020, 2028\]"):
+            paris_pathway(end_year=2029)
+
+    def test_start_low_above_start_high_rejected(self):
+        assert paris_pathway(start_low=100.0, start_high=100.0).values[2020] == (100.0, 100.0)
+        with pytest.raises(EdgeLcaError, match="start low 500.0 is above start high 100.0"):
+            paris_pathway(start_low=500.0, start_high=100.0)
+
     @pytest.mark.parametrize("start", [{"start_low": math.nan}, {"start_low": math.inf},
                                        {"start_high": math.nan}, {"start_high": math.inf}])
     def test_nonfinite_start_rejected(self, start):
@@ -301,6 +310,13 @@ class TestParsing:
             make_cumulative({2020: 1.0, 2021: float(count)})
         with pytest.raises(EdgeLcaError, match="finite"):
             parse_trends(f"source,kind,year,value,extrapolated\nX,annual,2020,{count},0\n")
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "1_0", "yes"])
+    def test_extrapolated_flag_is_zero_or_one(self, flag):
+        text = f"source,kind,year,value,extrapolated\nX,annual,2020,1,0\nX,annual,2021,1,{flag}\n"
+        with pytest.raises(FactorParseError, match="malformed row") as info:
+            parse_trends(text)
+        assert info.value.line == 3
 
     @pytest.mark.parametrize("row, message", [
         ("X,cumulative,2018,inf,0", "count for 2018 must be > 0 and finite"),
