@@ -27,15 +27,6 @@ from .model import (
     OverrideKind,
 )
 
-#: Factor-entry unit each override kind needs for its final multiplication.
-_FACTOR_UNIT_BY_KIND = {
-    OverrideKind.MASS_SCALED: "kgCO2-eq/kg",
-    OverrideKind.UNIT_COUNT: "kgCO2-eq/unit",
-    OverrideKind.MEMORY_CAPACITY: "kgCO2-eq/Gb",
-    OverrideKind.SOLDER_FROM_IC_AREA: "kgCO2-eq/kg",
-}
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     """Estimate plus the overrides that produced it and any warnings."""
@@ -93,7 +84,7 @@ def _resolve_factor(override: ComponentOverride, units: UnitFactorRegistry) -> U
             f"override on {override.block.key}: unknown factor key {override.factor_key!r}"
         )
     entry = units.get(override.factor_key)
-    expected = _FACTOR_UNIT_BY_KIND[override.kind]
+    expected = override.kind.factor_unit
     if entry.unit != expected:
         raise InvalidOverrideUnit(
             f"override on {override.block.key}: kind {override.kind.key!r} needs a "

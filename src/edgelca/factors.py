@@ -29,6 +29,7 @@ from .model import (
     EmissionTriple,
     FunctionalBlock,
     HSL,
+    _DEFINED,
     is_valid_cell,
     triple_sum,
 )
@@ -84,9 +85,8 @@ class EmissionFactorTable:
 
     def __post_init__(self):
         cells = dict(self.cells)
-        defined = set(CELLS)
         for key in cells:
-            if key not in defined:
+            if key not in _DEFINED:
                 parts = key if isinstance(key, tuple) else (key,)
                 names = ", ".join(getattr(part, "key", repr(part)) for part in parts)
                 raise ForbiddenCell(f"table contains undefined cell ({names})")
@@ -188,6 +188,21 @@ def _parse_float(text: str) -> float:
         raise FactorParseError(f"expected a number, got {text!r}") from None
 
 
+def _field_start(line: str, number: int) -> int:
+    """1-based column at which csv field `number` (1-based) of `line` starts:
+    just after its `number - 1`th comma outside quotes, where each `"` opens
+    or closes a quote."""
+    quoted = False
+    for column, char in enumerate(line, start=1):
+        if number == 1:
+            return column
+        if char == '"':
+            quoted = not quoted
+        elif char == "," and not quoted:
+            number -= 1
+    return len(line) + 1
+
+
 def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[List[str]], object]):
     """The grammar shared by the four data CSVs: (metadata, [row(fields)]).
 
@@ -199,8 +214,8 @@ def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[L
 
     `row` raises its errors without a line; this adds it. A FactorParseError
     gets the row's line and, as column, where its field (`column`, 1-based,
-    default 1) starts in the stripped line as the csv module read it. Any
-    other EdgeLcaError keeps its type under a `line N: ` prefix.
+    default 1) starts in the stripped line as written. Any other EdgeLcaError
+    keeps its type under a `line N: ` prefix.
     """
     meta = {}
     rows = []
@@ -216,8 +231,7 @@ def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[L
                 if body.lower().startswith(prefix):
                     meta[key] = body[len(prefix):].strip()
             continue
-        written = next(csv.reader([line]))
-        fields = [f.strip() for f in written]
+        fields = [f.strip() for f in next(csv.reader([line]))]
         if not header_seen:
             if fields != header:
                 raise FactorParseError(f"expected header {','.join(header)!r}", line_no, 1)
@@ -227,15 +241,15 @@ def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[L
                 f"expected {len(header)} fields, got {len(fields)}", line_no, 1
             )
         else:
-            rows.append((line_no, written, fields))
+            rows.append((line_no, line, fields))
     if not header_seen:
         raise FactorParseError(empty_message, 1, 1)
     values = []
-    for line_no, written, fields in rows:
+    for line_no, line, fields in rows:
         try:
             values.append(row(fields))
         except FactorParseError as exc:
-            column = 1 + sum(len(f) + 1 for f in written[:(exc.column or 1) - 1])
+            column = _field_start(line, exc.column or 1)
             raise FactorParseError(exc.args[0], line_no, column) from None
         except EdgeLcaError as exc:
             raise type(exc)(f"line {line_no}: {exc}") from None
@@ -250,11 +264,11 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
         try:
             block = FunctionalBlock.from_key(fields[0])
         except KeyError as exc:
-            raise FactorParseError(str(exc)) from None
+            raise FactorParseError(exc.args[0]) from None
         try:
             level = HSL.from_key(fields[1])
         except KeyError as exc:
-            raise FactorParseError(str(exc), column=2) from None
+            raise FactorParseError(exc.args[0], column=2) from None
         if not is_valid_cell(block, level):
             raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination")
         low, typ, up = map(_parse_float, fields[2:])

@@ -154,36 +154,25 @@ def triple_sum(triples) -> EmissionTriple:
 
 
 class OverrideKind(enum.Enum):
-    """How a component-level override computes its replacement triple."""
+    """How a component-level override computes its replacement triple. A
+    member is (key, quantity units in lower case, the unit of the registry
+    entry its quantity multiplies)."""
 
     __hash__ = object.__hash__  # as for FunctionalBlock
 
-    MASS_SCALED = "mass_scaled"  # grams x per-kg factor
-    UNIT_COUNT = "unit_count"  # count x per-unit factor
-    MEMORY_CAPACITY = "memory_capacity"  # MB/GB -> Gb x per-Gb factor
-    SOLDER_FROM_IC_AREA = "solder_from_ic_area"  # mm2 -> solder mass x per-kg factor
+    MASS_SCALED = "mass_scaled", ("g",), "kgCO2-eq/kg"  # grams x per-kg factor
+    UNIT_COUNT = "unit_count", ("u",), "kgCO2-eq/unit"  # count x per-unit factor
+    MEMORY_CAPACITY = "memory_capacity", ("mb", "gb"), "kgCO2-eq/Gb"  # MB/GB -> Gb x factor
+    SOLDER_FROM_IC_AREA = "solder_from_ic_area", ("mm2",), "kgCO2-eq/kg"  # mm2 -> solder mass
 
-    def __init__(self, key: str):
-        self.key = key  # a plain attribute, as for FunctionalBlock
-
-    @classmethod
-    def from_key(cls, key: str) -> "OverrideKind":
-        try:
-            return _KIND_BY_KEY[key.strip().lower()]
-        except KeyError:
-            raise KeyError(f"unknown override kind {key!r}") from None
+    def __init__(self, key: str, units: Tuple[str, ...], factor_unit: str):
+        # Plain attributes, as for FunctionalBlock.
+        self.key = key
+        self.units = units
+        self.factor_unit = factor_unit
 
 
 _KIND_BY_KEY = {kind.key: kind for kind in OverrideKind}
-
-
-#: Quantity units each override kind accepts (lowercase).
-OVERRIDE_QUANTITY_UNITS = {
-    OverrideKind.MASS_SCALED: ("g",),
-    OverrideKind.UNIT_COUNT: ("u",),
-    OverrideKind.MEMORY_CAPACITY: ("mb", "gb"),
-    OverrideKind.SOLDER_FROM_IC_AREA: ("mm2",),
-}
 
 
 @dataclass(frozen=True)
@@ -206,7 +195,7 @@ class ComponentOverride:
             raise InvalidProfile(
                 f"override quantity must be nonnegative and finite, got {self.quantity}"
             )
-        allowed = OVERRIDE_QUANTITY_UNITS[self.kind]
+        allowed = self.kind.units
         if self.unit.lower() not in allowed:
             raise InvalidProfile(
                 f"override unit {self.unit!r} invalid for kind {self.kind.key!r}; "

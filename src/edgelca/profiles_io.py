@@ -31,7 +31,9 @@ from .model import (
     FunctionalBlock,
     HSL,
     HardwareProfile,
-    OverrideKind,
+    _BLOCK_BY_KEY,
+    _HSL_BY_KEY,
+    _KIND_BY_KEY,
     _VALID_LEVELS,
 )
 
@@ -68,13 +70,10 @@ class ProfileDocument:
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[^\]]*)\]\s*$")
 _OVERRIDE_RE = re.compile(
-    r"^(?P<kind>[a-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"^(?P<kind>[A-Za-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
 )
 
-#: Keyed by lower-cased key, as FunctionalBlock.from_key and HSL.from_key look up.
-_POSITIONS = {block.key: position for position, block in enumerate(BLOCKS)}
-_LEVELS = {level.key: level for level in HSL}
 #: Each defined cell's level line, lower-cased and with each whitespace run
 #: made one space, to (position, level). Block and level keys hold no space,
 #: so a space or none on either side of the `=` covers every spelling.
@@ -109,19 +108,17 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
     comes here."""
     is_override = key.startswith("override.")
     block_key = key[len("override."):] if is_override else key
-    position = _POSITIONS.get(block_key.strip().lower())
-    if position is None:
+    block = _BLOCK_BY_KEY.get(block_key.strip().lower())
+    if block is None:
         return Diagnostic(UNKNOWN_BLOCK, f"unknown functional block {block_key!r}", line_no)
-    block = BLOCKS[position]
     if is_override:
         m = _OVERRIDE_RE.match(value)
         if not m:
             return Diagnostic(
                 SYNTAX, f"override must be '<kind>:<quantity><unit>@<factor_key>', got {value!r}",
                 line_no, _value_column(raw, value))
-        try:
-            kind = OverrideKind.from_key(m.group("kind"))
-        except KeyError:
+        kind = _KIND_BY_KEY.get(m.group("kind").lower())
+        if kind is None:
             return Diagnostic(SYNTAX, f"unknown override kind {m.group('kind')!r}", line_no,
                               _value_column(raw, value))
         try:
@@ -134,13 +131,14 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
                               f"{section.overrides[block][1]}", line_no)
         section.overrides[block] = (override, line_no)
         return None
-    level = _LEVELS.get(value.lower())
+    level = _HSL_BY_KEY.get(value.lower())
     if level is None:
         return Diagnostic(UNKNOWN_LEVEL, f"unknown level {value!r}", line_no,
                           _value_column(raw, value))
-    if section.lines[position]:
+    assigned = section.lines[BLOCKS.index(block)]
+    if assigned:
         return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already assigned on line "
-                          f"{section.lines[position]}", line_no)
+                          f"{assigned}", line_no)
     # Every defined cell of an unassigned block is one of `_CELL_LINES`, which
     # `validate_profiles` assigns before it calls this.
     return Diagnostic(FORBIDDEN_COMBINATION, f"{block.key} cannot be assigned {level.key}",
@@ -347,7 +345,7 @@ def _rows(reports: Sequence[EvaluationReport], row):
     test is `is`, not `==`, since 0.0 == -0.0. Override and TOTAL rows are
     made directly, so at most one row per table cell is kept.
     """
-    memo = [[None] * len(_LEVELS) for _ in BLOCKS]
+    memo = [[None] * len(_HSL_BY_KEY) for _ in BLOCKS]
     for report in reports:
         labels = [level.key for level in report.profile.levels]
         for ov in report.applied_overrides:

@@ -14,21 +14,30 @@ from hypothesis import given, settings, strategies as st
 
 from edgelca.cli import WRITE_SLICE, _emit, main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
-from edgelca.estimator import batch_evaluate
+from edgelca.errors import InvalidOverrideUnit, InvalidProfile
+from edgelca.estimator import apply_override, batch_evaluate
 from edgelca.factors import (
+    REGISTRY_UNITS,
+    REQUIRED_BUILTINS,
     EmissionFactorTable,
+    UnitFactor,
     UnitFactorRegistry,
     serialize_factor_table,
     serialize_unit_registry,
 )
 from edgelca.model import (
-    OVERRIDE_QUANTITY_UNITS,
+    ComponentOverride,
     EmissionTriple,
     FunctionalBlock,
     OverrideKind,
     valid_levels,
 )
-from edgelca.profiles_io import REPORT_FORMATS, parse_profiles, render_reports
+from edgelca.profiles_io import (
+    REPORT_FORMATS,
+    parse_profiles,
+    render_reports,
+    validate_profiles,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ERROR_FIXTURES = sorted(
@@ -259,6 +268,23 @@ class TestValidate:
         assert "31:25: syntax" in result.stderr
 
 
+    @pytest.mark.parametrize("kind", ["MASS_Scaled", "MASS_SCALED", "Mass_Scaled"])
+    @pytest.mark.parametrize("quantity", ["48g", "48kg"])
+    def test_override_kind_is_case_insensitive(self, runner, tmp_path, kind, quantity):
+        # 48kg is refused, so `validate` prints a diagnostic and its column.
+        text = (FIXTURES / "valid.iotprof").read_text(encoding="utf-8").replace(
+            ":48g@", f":{quantity}@")
+        respelled = text.replace("= mass_scaled:", f"= {kind}:")
+        assert respelled != text
+        assert validate_profiles(respelled) == validate_profiles(text)
+        path = tmp_path / "kind.iotprof"
+        outputs = []
+        for written in (text, respelled):
+            path.write_text(written, encoding="utf-8")
+            result = runner.invoke(main, ["validate", str(path)])
+            outputs.append((result.exit_code, result.stdout))
+        assert outputs[0] == outputs[1]
+
     def test_second_override_of_a_block_agrees_with_estimate(self, runner, tmp_path):
         path = tmp_path / "twice.iotprof"
         path.write_text(
@@ -284,6 +310,43 @@ FACTOR_UNITS = {
     OverrideKind.SOLDER_FROM_IC_AREA: "kgCO2-eq/kg",
 }
 
+#: Quantity units each override kind accepts, in any case.
+QUANTITY_UNITS = {
+    OverrideKind.MASS_SCALED: {"g"},
+    OverrideKind.UNIT_COUNT: {"u"},
+    OverrideKind.MEMORY_CAPACITY: {"mb", "gb"},
+    OverrideKind.SOLDER_FROM_IC_AREA: {"mm2"},
+}
+
+
+@pytest.mark.parametrize("kind", OverrideKind, ids=lambda kind: kind.key)
+class TestOverrideKindRules:
+    """Each kind's quantity units and factor unit, as the two tables above give them."""
+
+    def test_multiplies_only_its_factor_unit(self, kind):
+        entries = [UnitFactor(key, 1.0, unit) for key, unit in REQUIRED_BUILTINS.items()]
+        entries += [UnitFactor(f"extra_{i}", 2.0, unit)
+                    for i, unit in enumerate(sorted(REGISTRY_UNITS))]
+        registry = UnitFactorRegistry({entry.key: entry for entry in entries})
+        unit = min(QUANTITY_UNITS[kind])
+        for entry in entries:
+            override = ComponentOverride(FunctionalBlock.MEMORY, kind, 3.0, unit, entry.key)
+            if entry.unit == FACTOR_UNITS[kind]:
+                assert isinstance(apply_override(override, registry), EmissionTriple)
+            else:
+                with pytest.raises(InvalidOverrideUnit):
+                    apply_override(override, registry)
+
+    def test_accepts_only_its_quantity_units(self, kind):
+        spellings = set().union(*QUANTITY_UNITS.values()) | {"", "kg", "mm", "b", "units"}
+        for spelling in sorted(spellings):
+            for unit in (spelling, spelling.upper()):
+                if spelling in QUANTITY_UNITS[kind]:
+                    ComponentOverride(FunctionalBlock.MEMORY, kind, 3.0, unit, "k")
+                else:
+                    with pytest.raises(InvalidProfile, match="invalid for kind"):
+                        ComponentOverride(FunctionalBlock.MEMORY, kind, 3.0, unit, "k")
+
 
 @st.composite
 def override_lines(draw, units):
@@ -293,8 +356,8 @@ def override_lines(draw, units):
     kind = draw(st.sampled_from([kind for kind in keys if keys[kind]]))
     block = draw(st.sampled_from(FunctionalBlock))
     quantity = draw(st.integers(min_value=0, max_value=10**6))
-    unit = draw(st.sampled_from(OVERRIDE_QUANTITY_UNITS[kind]))
-    return f"override.{block.key} = {kind.value}:{quantity}{unit}@{draw(st.sampled_from(keys[kind]))}"
+    unit = draw(st.sampled_from(kind.units))
+    return f"override.{block.key} = {kind.key}:{quantity}{unit}@{draw(st.sampled_from(keys[kind]))}"
 
 
 class TestValidateAgreesWithEstimate:

@@ -170,12 +170,24 @@ class TestFactorTable:
     @pytest.mark.parametrize(
         "row, column",
         [("actuators,hsl9,0,0,0", 11), ("actuators  , hsl9,0,0,0", 13),
-         ("  actuators,hsl9,0,0,0", 11)],
+         ("  actuators,hsl9,0,0,0", 11), ('"actuators",hsl9,0,0,0', 13)],
     )
     def test_unknown_level_column(self, row, column):
         with pytest.raises(FactorParseError, match="hsl9") as info:
             parse_factor_table("block,level,low,typical,up\n" + row + "\n")
         assert (info.value.line, info.value.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("antenna,hsl1,0,0,0",
+          "unknown functional block 'antenna' (line 2, column 1)"),
+         ("actuators,hsl9,0,0,0",
+          "unknown hardware specification level 'hsl9' (line 2, column 11)")],
+    )
+    def test_unknown_key_message(self, row, message):
+        with pytest.raises(FactorParseError) as info:
+            parse_factor_table("block,level,low,typical,up\n" + row + "\n")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
     def test_only_cr_and_lf_break_lines(self, table, char):

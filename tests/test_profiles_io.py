@@ -17,7 +17,6 @@ from edgelca.estimator import EvaluationReport, batch_evaluate, evaluate_profile
 from edgelca.factors import parse_unit_registry, serialize_unit_registry
 from edgelca.model import (
     CELLS,
-    OVERRIDE_QUANTITY_UNITS,
     ComponentOverride,
     EmissionTriple,
     FootprintEstimate,
@@ -73,7 +72,7 @@ TEXTS = st.one_of(NAMES, st.text(max_size=8))
 @st.composite
 def overrides(draw, factor_keys=TEXTS):
     kind = draw(st.sampled_from(OverrideKind))
-    units = OVERRIDE_QUANTITY_UNITS[kind]
+    units = kind.units
     return ComponentOverride(
         block=draw(st.sampled_from(FunctionalBlock)),
         kind=kind,
@@ -100,6 +99,7 @@ def documents(draw):
 #: Every (block, level) line, the undefined security cells included.
 LEVEL_LINES = [f"{block.key} = {level.key}" for block in FunctionalBlock for level in HSL]
 _LEVEL_LINE_RE = re.compile(r"^(\s*)([a-z_]+) = (hsl\d)(\s*(?:#.*)?)$")
+_OVERRIDE_KIND_RE = re.compile(r"^(override\.[a-z_]+ = )([a-z_]+):")
 
 
 @st.composite
@@ -129,8 +129,9 @@ def parser_documents(draw):
 @st.composite
 def respelled(draw, text):
     """`text` with each level line after the first header respelled: its
-    block key and level in any case, any spacing around its `=`. Before the
-    first header a level line's diagnostic quotes the key, so it stays as is."""
+    block key and level in any case, any spacing around its `=`; and each
+    override's kind in any case. Before the first header a level line's
+    diagnostic quotes the key, so it stays as is."""
     cases = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
     spaces = st.sampled_from(["", " ", "\t", "   "])
 
@@ -138,9 +139,13 @@ def respelled(draw, text):
         return (m[1] + draw(cases)(m[2]) + draw(spaces) + "=" + draw(spaces)
                 + draw(cases)(m[3]) + m[4])
 
+    def respell_kind(m):
+        return m[1] + draw(cases)(m[2]) + ":"
+
     head, bracket, rest = text.partition("\n[")
     return head + bracket + "\n".join(
-        _LEVEL_LINE_RE.sub(respell, line) for line in rest.split("\n"))
+        _OVERRIDE_KIND_RE.sub(respell_kind, _LEVEL_LINE_RE.sub(respell, line))
+        for line in rest.split("\n"))
 
 
 #: Finite values, including large ones and the halves that rounding to two
@@ -289,6 +294,12 @@ class TestParsing:
         text = read("valid.iotprof") + f"override.power_supply = {value}\n"
         _, diagnostics = validate_profiles(text)
         assert [(d.code, d.line) for d in diagnostics] == [(SYNTAX, 32)]
+
+    @pytest.mark.parametrize("kind", ["volume", "Volume", "MASS_SCALE"])
+    def test_unknown_override_kind_is_quoted_as_written(self, kind):
+        _, diagnostics = validate_profiles(f"[p]\noverride.pcb =  {kind}:1g@k\n")
+        assert [(d.code, d.message, d.line, d.column) for d in diagnostics[:1]] == [
+            (SYNTAX, f"unknown override kind {kind!r}", 2, 17)]
 
     def test_diagnostic_str(self):
         d = Diagnostic(code=SYNTAX, message="boom", line=3, column=9)
