@@ -51,8 +51,11 @@ def _emit(text: str, out: Path | None):
         for part in slices:
             click.echo(part, nl=False, color=True)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(slices)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(slices)
+        except OSError as exc:
+            raise EdgeLcaError(f"{out}: cannot write ({exc.strerror or exc})") from None
 
 
 def _domain_errors(fn):

@@ -22,7 +22,7 @@ from .factors import (
     parse_factor_table,
     parse_unit_registry,
 )
-from .profiles_io import ProfileDocument, _read_text, parse_profiles
+from .profiles_io import _read_text
 from .projection import DeploymentTrend, Scenario, parse_scenarios, parse_trends
 
 DATA_DIR_ENV = "EDGE_LCA_DATA_DIR"
@@ -57,10 +57,6 @@ def default_trends(path: Optional[Path] = None) -> List[DeploymentTrend]:
 
 def default_scenarios(path: Optional[Path] = None) -> List[Scenario]:
     return parse_scenarios(_read("scenarios.csv", path))
-
-
-def use_case_profiles() -> ProfileDocument:
-    return parse_profiles(_read("profiles/use_cases.iotprof"))
 
 
 def example_profile_path(name: str) -> Path:

@@ -69,7 +69,9 @@ class BatchEvaluationError(EdgeLcaError):
 
 
 class ZeroTotal(EdgeLcaError):
-    """Contribution shares are undefined when the typical total is zero."""
+    """A ratio over a total is undefined because the total is zero: the
+    typical total of contribution shares, or the minimum sum-of-low of the
+    spread ratios once rounded to one decimal."""
 
 
 class NotCumulative(EdgeLcaError):

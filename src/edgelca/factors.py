@@ -29,12 +29,11 @@ from .model import (
     EmissionTriple,
     FunctionalBlock,
     HSL,
+    _BLOCK_BY_KEY,
     _DEFINED,
-    is_valid_cell,
+    _HSL_BY_KEY,
     triple_sum,
 )
-
-EXPECTED_CELL_COUNT = len(CELLS)
 
 FACTOR_HEADER = ["block", "level", "low", "typical", "up"]
 UNITS_HEADER = ["key", "value", "unit", "note"]
@@ -261,15 +260,13 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
     cells: Dict[Tuple[FunctionalBlock, HSL], EmissionTriple] = {}
 
     def cell(fields):
-        try:
-            block = FunctionalBlock.from_key(fields[0])
-        except KeyError as exc:
-            raise FactorParseError(exc.args[0]) from None
-        try:
-            level = HSL.from_key(fields[1])
-        except KeyError as exc:
-            raise FactorParseError(exc.args[0], column=2) from None
-        if not is_valid_cell(block, level):
+        block = _BLOCK_BY_KEY.get(fields[0].lower())
+        if block is None:
+            raise FactorParseError(f"unknown functional block {fields[0]!r}")
+        level = _HSL_BY_KEY.get(fields[1].lower())
+        if level is None:
+            raise FactorParseError(f"unknown hardware specification level {fields[1]!r}", column=2)
+        if (block, level) not in _DEFINED:
             raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination")
         low, typ, up = map(_parse_float, fields[2:])
         if not (0.0 <= low <= typ <= up):

@@ -43,13 +43,6 @@ class FunctionalBlock(enum.Enum):
         #: so reading it runs no enum.py code, unlike `value`.
         self.key = key
 
-    @classmethod
-    def from_key(cls, key: str) -> "FunctionalBlock":
-        try:
-            return _BLOCK_BY_KEY[key.strip().lower()]
-        except KeyError:
-            raise KeyError(f"unknown functional block {key!r}") from None
-
 
 #: Profiles and estimates store one entry per block, in this order.
 BLOCKS = tuple(FunctionalBlock)
@@ -67,13 +60,6 @@ class HSL(enum.IntEnum):
     def __init__(self, level: int):
         self.key = f"hsl{level}"  # a plain attribute, as for FunctionalBlock
 
-    @classmethod
-    def from_key(cls, key: str) -> "HSL":
-        try:
-            return _HSL_BY_KEY[key.strip().lower()]
-        except KeyError:
-            raise KeyError(f"unknown hardware specification level {key!r}") from None
-
 
 _HSL_BY_KEY = {level.key: level for level in HSL}
 
@@ -89,10 +75,6 @@ _DEFINED = frozenset(CELLS)
 #: `BLOCKS`; profile and parser checks read this, not `_DEFINED`, so a level
 #: check builds no (block, level) tuple.
 _VALID_LEVELS = tuple(frozenset(lv for b, lv in CELLS if b is block) for block in BLOCKS)
-
-
-def is_valid_cell(block: FunctionalBlock, level: HSL) -> bool:
-    return (block, level) in _DEFINED
 
 
 def valid_levels(block: FunctionalBlock) -> Tuple[HSL, ...]:
@@ -266,8 +248,7 @@ class HardwareProfile:
 @dataclass(frozen=True)
 class FootprintEstimate:
     """Per-block emission triples, one EmissionTriple per block in `BLOCKS`
-    order, plus their componentwise `total`, computed by `triple_sum`;
-    `per_block` maps each block to those same objects."""
+    order, plus their componentwise `total`, computed by `triple_sum`."""
 
     profile_name: str
     triples: Tuple[EmissionTriple, ...]
@@ -277,7 +258,3 @@ class FootprintEstimate:
         if not isinstance(self.triples, tuple) or len(self.triples) != len(BLOCKS):
             raise InvalidProfile(f"estimate for {self.profile_name!r} must cover all 12 blocks")
         object.__setattr__(self, "total", triple_sum(self.triples))
-
-    @property
-    def per_block(self) -> Dict[FunctionalBlock, EmissionTriple]:
-        return dict(zip(BLOCKS, self.triples))

@@ -300,10 +300,6 @@ REPORT_FORMATS = ("table", "csv", "jsonl")
 _CSV_HEADER = "profile,block,level,low,typical,up"
 
 
-def render_report(report: EvaluationReport, format: str = "table") -> str:
-    return render_reports([report], format)
-
-
 def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -> str:
     """Render a batch. csv and jsonl are byte-stable contracts: fixed key
     order, 2-decimal values, LF line endings. The table format is for

@@ -9,8 +9,8 @@ this greedy scan against an exhaustive enumeration of all valid profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
-from typing import Dict, List, Optional
+from decimal import Context, Decimal, ROUND_HALF_UP
+from typing import Dict
 
 from .errors import ZeroTotal
 from .factors import EmissionFactorTable
@@ -46,13 +46,21 @@ class SensitivityResult:
     ratio_published_rounding: float
 
 
+#: Digits enough to quantize any finite float: its integer part has at most 309.
+_QUANTIZE_CONTEXT = Context(prec=400)
+
+
 def _round_half_up(value: float, decimals: int) -> float:
     q = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(q, ROUND_HALF_UP, _QUANTIZE_CONTEXT))
 
 
 def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
-    """Per-block greedy selection of the extremal profiles."""
+    """Per-block greedy selection of the extremal profiles.
+
+    Raises ZeroTotal when the minimum sum-of-low rounds to 0.0 at one
+    decimal, since neither spread ratio is then defined.
+    """
     min_profile = HardwareProfile("framework_min", tuple(
         min(valid_levels(b), key=lambda lv: table.lookup(b, lv).low) for b in BLOCKS))
     max_profile = HardwareProfile("framework_max", tuple(
@@ -62,6 +70,9 @@ def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
     min_low = min_total.low
     max_up = max_total.up
     rounded_min = _round_half_up(min_low, 1)
+    if rounded_min == 0.0:
+        raise ZeroTotal(f"minimum sum-of-low {min_low:g} kgCO2-eq rounds to 0.0 at one "
+                        "decimal; the spread ratios are undefined")
     return SensitivityResult(
         min_profile=min_profile,
         max_profile=max_profile,
@@ -85,24 +96,13 @@ def block_contributions(estimate: FootprintEstimate) -> Dict[FunctionalBlock, fl
     return {b: t.typical / total for b, t in zip(BLOCKS, estimate.triples)}
 
 
-def level_series(
-    table: EmissionFactorTable,
-) -> Dict[FunctionalBlock, List[Optional[EmissionTriple]]]:
-    """Chart-ready per-block series over the 4 levels.
-
-    Undefined cells are None, never zero-filled: "absent" and "zero
-    footprint" are different facts.
-    """
-    return {b: list(row) for b, row in zip(BLOCKS, table.rows)}
-
-
 def level_series_csv(table: EmissionFactorTable) -> str:
-    """`block,level,low,typical,up,absent` rows for external plotting."""
+    """`block,level,low,typical,up,absent` rows for external plotting. An
+    undefined cell is `absent`, never zero-filled: "absent" and "zero
+    footprint" are different facts."""
     lines = ["block,level,low,typical,up,absent"]
-    series = level_series(table)
-    for block in FunctionalBlock:
-        for level in HSL:
-            cell = series[block][int(level)]
+    for block, row in zip(BLOCKS, table.rows):
+        for level, cell in zip(HSL, row):
             if cell is None:
                 lines.append(f"{block.key},{level.key},,,,1")
             else:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import Phase, settings
 
 from edgelca import defaults
+from edgelca.profiles_io import load_profiles
 
 # Each falsifying example comes with a @reproduce_failure blob, so a failure
 # seen only in CI can be replayed locally. The explain phase is skipped: it
@@ -73,4 +74,4 @@ def scenarios():
 
 @pytest.fixture(scope="session")
 def use_cases():
-    return defaults.use_case_profiles()
+    return load_profiles(defaults.example_profile_path("use_cases"))

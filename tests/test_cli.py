@@ -486,6 +486,26 @@ class TestSensitivity:
         assert len(lines) == 49
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", str(FIXTURES / "valid.iotprof"), "--out"],
+    ["sensitivity", "--out"],
+    ["sensitivity", "--series-out"],
+    ["project", "--out"],
+    ["pathway", "--out"],
+], ids=" ".join)
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_unwritable_output_exits_one(runner, tmp_path, args, parent):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    target = tmp_path / parent / "out.txt"
+    result = runner.invoke(main, args + [str(target)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: {target}: cannot write (")
+    assert not target.exists()
+
+
 class TestProject:
     def test_default_projection(self, runner):
         result = runner.invoke(main, ["project"])

@@ -68,7 +68,7 @@ class TestTotals:
         profile = HardwareProfile.uniform("mid", HSL.HSL2)
         report = evaluate_profile(profile, table, units)
         acc = [0.0, 0.0, 0.0]
-        for triple in report.estimate.per_block.values():
+        for triple in report.estimate.triples:
             for i, v in enumerate(triple.as_tuple()):
                 acc[i] += v
         assert report.estimate.total.as_tuple() == pytest.approx(tuple(acc), abs=1e-12)
@@ -111,8 +111,8 @@ class TestSharedTriples:
             assert table.rows[i][level] is table.cells[(block, level)]
             if block not in overridden:
                 assert estimate.triples[i] is table.rows[i][level]
-            assert estimate.per_block[block] is estimate.triples[i]
-        rebuilt = FootprintEstimate("q", tuple(estimate.per_block[b] for b in FunctionalBlock))
+        per_block = dict(zip(BLOCKS, estimate.triples))
+        rebuilt = FootprintEstimate("q", tuple(per_block[b] for b in FunctionalBlock))
         assert all(a is b for a, b in zip(rebuilt.triples, estimate.triples))
 
 
@@ -291,7 +291,7 @@ class TestOverrides:
         )
         plain = evaluate_profile(base, table, units)
         overridden = evaluate_profile(with_ov, table, units)
-        ps = overridden.estimate.per_block[FunctionalBlock.POWER_SUPPLY]
+        ps = dict(zip(BLOCKS, overridden.estimate.triples))[FunctionalBlock.POWER_SUPPLY]
         assert ps.typical == pytest.approx(1.2)
         delta = overridden.estimate.total.typical - plain.estimate.total.typical
         cell = table.lookup(FunctionalBlock.POWER_SUPPLY, HSL.HSL1)

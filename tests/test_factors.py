@@ -15,7 +15,6 @@ from edgelca.errors import (
     UnknownUnit,
 )
 from edgelca.factors import (
-    EXPECTED_CELL_COUNT,
     EmissionFactorTable,
     UnitFactor,
     UnitFactorRegistry,
@@ -27,7 +26,7 @@ from edgelca.factors import (
     split_lines,
 )
 from edgelca.projection import parse_scenarios, parse_trends
-from edgelca.model import EmissionTriple, FunctionalBlock, HSL, valid_levels
+from edgelca.model import CELLS, EmissionTriple, FunctionalBlock, HSL, valid_levels
 from oracles import NOT_LINE_BREAKS
 
 MINIMAL_UNITS = """key,value,unit,note
@@ -44,7 +43,7 @@ solder_density,7.38,g/cm3,
 
 class TestFactorTable:
     def test_shipped_table_cell_count(self, table):
-        assert len(table.cells) == EXPECTED_CELL_COUNT
+        assert len(table.cells) == len(CELLS)
 
     def test_shipped_lookups(self, table):
         assert table.lookup(FunctionalBlock.PROCESSING, HSL.HSL3) == EmissionTriple(2.31, 3.13, 3.98)
@@ -139,7 +138,7 @@ class TestFactorTable:
 
     @given(st.lists(
         st.lists(st.floats(min_value=-0.0, allow_infinity=False), min_size=3, max_size=3),
-        min_size=EXPECTED_CELL_COUNT, max_size=EXPECTED_CELL_COUNT,
+        min_size=len(CELLS), max_size=len(CELLS),
     ))
     def test_serialize_roundtrip_property(self, triples):
         keys = [(b, lv) for b in FunctionalBlock for lv in valid_levels(b)]

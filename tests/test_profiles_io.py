@@ -16,6 +16,7 @@ from edgelca.errors import InvalidProfile, ProfileParseError
 from edgelca.estimator import EvaluationReport, batch_evaluate, evaluate_profile
 from edgelca.factors import parse_unit_registry, serialize_unit_registry
 from edgelca.model import (
+    BLOCKS,
     CELLS,
     ComponentOverride,
     EmissionTriple,
@@ -40,7 +41,6 @@ from edgelca.profiles_io import (
     ProfileDocument,
     parse_profiles,
     render_profiles,
-    render_report,
     render_reports,
     validate_profiles,
 )
@@ -187,9 +187,9 @@ SHARED_TRIPLES = [EmissionTriple(*values) for values in [
 def report_rows(report):
     """(block, level column, triple) per row, as the report contract lays them out."""
     overridden = {ov.block for ov in report.applied_overrides}
-    for block in FunctionalBlock:
+    for block, triple in zip(BLOCKS, report.estimate.triples):
         level = "override" if block in overridden else report.profile.level_of(block).key
-        yield block.key, level, report.estimate.per_block[block]
+        yield block.key, level, triple
     yield "TOTAL", "", report.estimate.total
 
 
@@ -449,7 +449,7 @@ class TestReportRendering:
         return evaluate_profile(profile, table, units)
 
     def test_csv_single_report(self, report):
-        lines = render_report(report, "csv").splitlines()
+        lines = render_reports([report], "csv").splitlines()
         assert lines[0] == "profile,block,level,low,typical,up"
         assert len(lines) == 1 + 12 + 1
         assert lines[1] == "minimal,actuators,hsl0,0.00,0.00,0.00"
@@ -459,7 +459,7 @@ class TestReportRendering:
         assert render_reports([], "csv") == "profile,block,level,low,typical,up\n"
 
     def test_jsonl_rows(self, report):
-        lines = render_report(report, "jsonl").splitlines()
+        lines = render_reports([report], "jsonl").splitlines()
         assert len(lines) == 13
         first = json.loads(lines[0])
         assert list(first) == ["profile", "block", "level", "low", "typical", "up"]
@@ -479,21 +479,21 @@ class TestReportRendering:
     def test_table_mentions_warnings(self, table, units):
         doc = parse_profiles(read("valid.iotprof"))
         battery = doc.profiles[1]
-        text = render_report(evaluate_profile(battery, table, units), "table")
+        text = render_reports([evaluate_profile(battery, table, units)], "table")
         assert "profile: battery_device" in text
         assert "override" in text
 
     def test_override_rows_labelled(self, table, units):
         doc = parse_profiles(read("valid.iotprof"))
         battery = doc.profiles[1]
-        lines = render_report(evaluate_profile(battery, table, units), "csv").splitlines()
+        lines = render_reports([evaluate_profile(battery, table, units)], "csv").splitlines()
         ps_row = next(ln for ln in lines if ",power_supply," in ln)
         assert ps_row == "battery_device,power_supply,override,1.20,1.20,1.20"
 
     @pytest.mark.parametrize("name", ['x,"y', "a\nb", "c\rd", 'q"', "plain name"])
     def test_csv_name_reads_back(self, table, units, name):
         report = evaluate_profile(HardwareProfile.uniform(name, HSL.HSL1), table, units)
-        rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
+        rows = list(csv.reader(io.StringIO(render_reports([report], "csv"), newline="")))
         assert [row[0] for row in rows[1:]] == [name] * 13
         assert all(len(row) == 6 for row in rows)
 
@@ -501,7 +501,7 @@ class TestReportRendering:
     def test_csv_name_reads_back_property(self, table, units, name):
         # csv.reader before Python 3.11 rejects NUL.
         report = evaluate_profile(HardwareProfile.uniform(name, HSL.HSL1), table, units)
-        rows = list(csv.reader(io.StringIO(render_report(report, "csv"), newline="")))
+        rows = list(csv.reader(io.StringIO(render_reports([report], "csv"), newline="")))
         assert [row[0] for row in rows[1:]] == [name] * 13
 
     @given(st.lists(reports(st.text()), max_size=3))
@@ -665,8 +665,8 @@ class TestReportRendering:
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):
-            render_report(report, "yaml")
+            render_reports([report], "yaml")
 
     def test_rendering_is_deterministic(self, report):
         for fmt in ("table", "csv", "jsonl"):
-            assert render_report(report, fmt) == render_report(report, fmt)
+            assert render_reports([report], fmt) == render_reports([report], fmt)

@@ -1,20 +1,45 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
+import tempfile
+from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from edgelca.cli import main
 from edgelca.errors import ZeroTotal
+from edgelca.factors import EmissionFactorTable, serialize_factor_table
 from edgelca.model import (
+    BLOCKS,
+    CELLS,
     EmissionTriple,
     FootprintEstimate,
     FunctionalBlock,
     HSL,
-    is_valid_cell,
 )
 from edgelca.sensitivity import (
     block_contributions,
-    level_series,
     level_series_csv,
     scan_extrema,
 )
+
+
+@st.composite
+def factor_tables(draw):
+    """Tables of drawn cells up to 100 or up to 1e300. In one draw of two,
+    every low is then set to 0, or every nonzero low to 0.001 (capped at its
+    typical), so the minimum sum-of-low is often zero or rounds to zero."""
+    value = st.floats(0.0, draw(st.sampled_from([100.0, 1e300])))
+    lows = draw(st.sampled_from(["drawn", "drawn", "zero", "milli"]))
+    cells = {}
+    for cell in CELLS:
+        low, typical, up = sorted(draw(st.tuples(value, value, value)))
+        if lows == "zero":
+            low = 0.0
+        elif lows == "milli" and low > 0.0:
+            low = min(0.001, typical)
+        cells[cell] = EmissionTriple(low, typical, up)
+    return EmissionFactorTable(cells)
 
 
 class TestExtrema:
@@ -63,6 +88,22 @@ class TestExtrema:
                 cell = table.lookup(block, profile.level_of(block))
                 acc = tuple(a + c for a, c in zip(acc, cell.as_tuple()))
             assert total.as_tuple() == pytest.approx(acc, abs=1e-12)
+
+    @pytest.mark.parametrize("low", [0.0, 0.001])
+    def test_zero_minimum_raises(self, table, low):
+        # Four blocks have a nonzero low at every level, so the minimum is 4 * low.
+        cells = {cell: EmissionTriple(low if t.low else 0.0, t.typical, t.up)
+                 for cell, t in table.cells.items()}
+        with pytest.raises(ZeroTotal, match=f"^minimum sum-of-low {4 * low:g} kgCO2-eq "
+                                            "rounds to 0.0 at one decimal"):
+            scan_extrema(EmissionFactorTable(cells))
+
+    def test_minimum_past_decimal_precision(self, table):
+        # 1e30 has more integer digits than the default decimal context keeps.
+        result = scan_extrema(EmissionFactorTable(
+            {cell: t.scale(1e30) for cell, t in table.cells.items()}))
+        assert result.min_low_sum > 1e29
+        assert result.ratio_published_rounding == result.ratio_exact
 
     def test_agrees_with_exhaustive_enumeration(self, table):
         from oracles import brute_force_extrema
@@ -115,22 +156,6 @@ class TestContributions:
 
 
 class TestLevelSeries:
-    def test_absent_cells_are_none(self, table):
-        series = level_series(table)
-        assert series[FunctionalBlock.SECURITY][2] is None
-        assert series[FunctionalBlock.SECURITY][3] is None
-        assert series[FunctionalBlock.SECURITY][1] == EmissionTriple(0.01, 0.02, 0.03)
-
-    def test_series_matches_lookups(self, table):
-        series = level_series(table)
-        for block in FunctionalBlock:
-            for level in HSL:
-                cell = series[block][int(level)]
-                if is_valid_cell(block, level):
-                    assert cell == table.lookup(block, level)
-                else:
-                    assert cell is None
-
     def test_csv_shape(self, table):
         text = level_series_csv(table)
         lines = text.splitlines()
@@ -139,3 +164,34 @@ class TestLevelSeries:
         absent = [ln for ln in lines if ln.endswith(",1")]
         assert absent == ["security,hsl2,,,,1", "security,hsl3,,,,1"]
         assert "power_supply,hsl1,0.02,0.18,0.38,0" in lines
+        assert "security,hsl1,0.01,0.02,0.03,0" in lines
+
+    @given(factor_tables())
+    def test_csv_rows_are_the_table_rows_property(self, table):
+        expected = ["block,level,low,typical,up,absent"]
+        for block, row in zip(BLOCKS, table.rows):
+            for level, cell in zip(HSL, row):
+                values = ",," if cell is None else f"{cell.low:.2f},{cell.typical:.2f},{cell.up:.2f}"
+                expected.append(f"{block.key},{level.key},{values},{int(cell is None)}")
+        assert level_series_csv(table) == "\n".join(expected) + "\n"
+
+
+class TestDrawnTablesThroughTheCli:
+    @settings(max_examples=20, deadline=None)
+    @given(factor_tables())
+    def test_exit_zero_matches_the_oracle_or_exit_one_says_why(self, table):
+        from oracles import brute_force_extrema
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "factors.csv"
+            path.write_text(serialize_factor_table(table), encoding="utf-8")
+            result = CliRunner().invoke(main, ["sensitivity", "--factors", str(path)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 1:
+            assert result.stdout == ""
+            assert re.fullmatch(r"error: [^\n]*\n", result.stderr)
+            return
+        assert result.exit_code == 0
+        _, min_low, _, max_up = brute_force_extrema(table)
+        assert f"min sum-of-low: {min_low:.2f} kgCO2-eq\n" in result.stdout
+        assert f"max sum-of-up: {max_up:.2f} kgCO2-eq\n" in result.stdout
