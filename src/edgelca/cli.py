@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 domain error (bad data, failed validation),
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,13 +15,8 @@ import click
 from . import defaults
 from .errors import EdgeLcaError
 from .estimator import batch_evaluate
-from .profiles_io import (
-    REPORT_FORMATS,
-    _read_text,
-    load_profiles,
-    render_reports,
-    validate_profiles,
-)
+from .factors import read_text
+from .profiles_io import REPORT_FORMATS, load_profiles, render_reports, validate_profiles
 from .projection import (
     LAST_YEAR,
     PARIS_START_RANGE,
@@ -58,34 +52,40 @@ def _emit(text: str, out: Path | None):
             raise EdgeLcaError(f"{out}: cannot write ({exc.strerror or exc})") from None
 
 
-def _domain_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """The command group: a domain error in any command prints one `error:`
+    line on stderr and exits 1."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except EdgeLcaError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
+
+#: A file the command reads; a missing one is a usage error (exit 2).
+_INPUT_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+_OUTPUT_FILE = click.Path(dir_okay=False, path_type=Path)
+
+_out_option = click.option("--out", type=_OUTPUT_FILE,
+                           help="Write output to a file instead of stdout.")
+_factors_option = click.option("--factors", type=_INPUT_FILE,
+                               help="Emission-factor table (default: bundled).")
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Cradle-to-gate carbon footprint estimation for IoT edge devices."""
 
 
 @main.command()
-@click.argument("profile_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--factors", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="Emission-factor table (default: bundled).")
-@click.option("--units", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="Unit-factor registry (default: bundled).")
+@click.argument("profile_file", type=_INPUT_FILE)
+@_factors_option
+@click.option("--units", type=_INPUT_FILE, help="Unit-factor registry (default: bundled).")
 @click.option("--format", "fmt", type=click.Choice(REPORT_FORMATS), default="table",
               show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              help="Write output to a file instead of stdout.")
-@_domain_errors
+@_out_option
 def estimate(profile_file, factors, units, fmt, out):
     """Evaluate every profile in PROFILE_FILE."""
     document = load_profiles(profile_file)
@@ -100,11 +100,10 @@ def estimate(profile_file, factors, units, fmt, out):
 
 
 @main.command()
-@click.argument("profile_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_domain_errors
+@click.argument("profile_file", type=_INPUT_FILE)
 def validate(profile_file):
     """Check PROFILE_FILE and report every diagnostic."""
-    text = _read_text(profile_file)
+    text = read_text(profile_file)
     document, diagnostics = validate_profiles(text)
     for diag in diagnostics:
         click.echo(f"{profile_file}:{diag}")
@@ -114,11 +113,10 @@ def validate(profile_file):
 
 
 @main.command()
-@click.option("--factors", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--series-out", type=click.Path(dir_okay=False, path_type=Path),
+@_factors_option
+@click.option("--series-out", type=_OUTPUT_FILE,
               help="Also write the chart-ready per-block/per-level CSV.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path))
-@_domain_errors
+@_out_option
 def sensitivity(factors, series_out, out):
     """Extremal profiles and spread ratio over the whole profile space."""
     table = defaults.default_factor_table(factors)
@@ -141,16 +139,15 @@ def sensitivity(factors, series_out, out):
 @main.command(name="project")
 @click.option("--scenario", "scenario_name",
               help="Scenario name from the scenario file (default: all).")
-@click.option("--scenarios-file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--scenarios-file", type=_INPUT_FILE,
               help="Scenario definitions (default: bundled).")
-@click.option("--trends", "trends_file", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+@click.option("--trends", "trends_file", type=_INPUT_FILE,
               help="Deployment trends (default: bundled).")
 @click.option("--trend", "source",
               help="Restrict to one trend source (default: CISCO and Statista).")
 @click.option("--psi", type=float, help="Override the scenario's psi correction.")
 @click.option("--alpha", type=float, help="Override the scenario's simple-device share.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path))
-@_domain_errors
+@_out_option
 def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, out):
     """Annual MtCO2-eq/year projections for deployment scenarios."""
     scenarios = defaults.default_scenarios(scenarios_file)
@@ -170,15 +167,10 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
         raise click.BadParameter(f"no cumulative trend for {wanted}", param_hint="--trend")
     series = []
     for scenario in scenarios:
-        effective = scenario
-        if psi is not None or alpha is not None:
-            effective = replace(
-                scenario,
-                alpha=scenario.alpha if alpha is None else alpha,
-                psi=scenario.psi if psi is None else psi,
-            )
+        scenario = replace(scenario, alpha=scenario.alpha if alpha is None else alpha,
+                           psi=scenario.psi if psi is None else psi)
         for annual in annuals:
-            series.append(project(effective, annual))
+            series.append(project(scenario, annual))
     _emit(projection_csv(series), out)
 
 
@@ -188,8 +180,7 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
 @click.option("--start-high", type=float, default=PARIS_START_RANGE[1], show_default=True,
               help="Pathway start value, upper bound (MtCO2-eq).")
 @click.option("--end-year", type=int, default=LAST_YEAR, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path))
-@_domain_errors
+@_out_option
 def pathway(start_low, start_high, end_year, out):
     """Reference emissions pathway declining 7.6 %/year from 2020."""
     _emit(pathway_csv(paris_pathway(start_low, start_high, end_year)), out)

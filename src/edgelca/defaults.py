@@ -11,7 +11,6 @@ bundled one.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,26 +20,28 @@ from .factors import (
     UnitFactorRegistry,
     parse_factor_table,
     parse_unit_registry,
+    read_text,
 )
-from .profiles_io import _read_text
 from .projection import DeploymentTrend, Scenario, parse_scenarios, parse_trends
 
 DATA_DIR_ENV = "EDGE_LCA_DATA_DIR"
+
+_DATA = Path(__file__).parent / "data"
 
 
 def _read(name: str, path: Optional[Path] = None) -> str:
     """Text of data file `name`: `path` when given, else the file of that
     name in EDGE_LCA_DATA_DIR when there is one, else the bundled copy."""
     if path is not None:
-        return _read_text(Path(path))
+        return read_text(Path(path))
     override_dir = os.environ.get(DATA_DIR_ENV)
     if override_dir:
         directory = Path(override_dir)
         if not directory.is_dir():
             raise EdgeLcaError(f"{DATA_DIR_ENV} names no directory: {override_dir}")
         if (directory / name).exists():
-            return _read_text(directory / name)
-    return _read_text(resources.files("edgelca") / "data" / name)
+            return read_text(directory / name)
+    return read_text(_DATA / name)
 
 
 def default_factor_table(path: Optional[Path] = None) -> EmissionFactorTable:
@@ -61,4 +62,4 @@ def default_scenarios(path: Optional[Path] = None) -> List[Scenario]:
 
 def example_profile_path(name: str) -> Path:
     """Filesystem path of a bundled .iotprof example."""
-    return Path(str(resources.files("edgelca") / "data" / "profiles" / f"{name}.iotprof"))
+    return _DATA / "profiles" / f"{name}.iotprof"

@@ -4,6 +4,10 @@ Both live in line-oriented, diff-able CSV files so the numbers can be
 audited cell by cell. Loading fails loudly on unknown block names, missing
 cells or broken ordering; silent data loss is the worst failure mode for an
 inventory database.
+
+The text helpers that every data and profile file goes through live here
+too: `read_text` reads a file, `split_lines` cuts it into lines and
+`read_rows` holds the grammar shared by the four data CSVs.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -168,6 +173,17 @@ def csv_field(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def read_text(path: Path) -> str:
+    """The text of the UTF-8 file at `path`; EdgeLcaError naming the file if
+    it cannot be read or is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeLcaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise EdgeLcaError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
 def split_lines(text: str) -> List[str]:

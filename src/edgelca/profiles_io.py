@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EdgeLcaError, InvalidProfile, ProfileParseError
+from .errors import InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
-from .factors import csv_field, split_lines
+from .factors import csv_field, read_text, split_lines
 from .model import (
     BLOCKS,
     ComponentOverride,
@@ -240,19 +240,8 @@ def parse_profiles(text: str) -> ProfileDocument:
     return doc
 
 
-def _read_text(path) -> str:
-    """The text of the UTF-8 file at `path` (a Path or package resource);
-    EdgeLcaError naming the file if it cannot be read or is not UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise EdgeLcaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise EdgeLcaError(f"{path}: cannot read ({exc.strerror or exc})") from None
-
-
 def load_profiles(path) -> ProfileDocument:
-    return parse_profiles(_read_text(Path(path)))
+    return parse_profiles(read_text(Path(path)))
 
 
 def _carried(text: str, what: str, fits: bool) -> None:

@@ -8,11 +8,12 @@ this greedy scan against an exhaustive enumeration of all valid profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_UP
 from typing import Dict
 
-from .errors import ZeroTotal
+from .errors import EdgeLcaError, ZeroTotal
 from .factors import EmissionFactorTable
 from .model import (
     BLOCKS,
@@ -59,7 +60,8 @@ def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
     """Per-block greedy selection of the extremal profiles.
 
     Raises ZeroTotal when the minimum sum-of-low rounds to 0.0 at one
-    decimal, since neither spread ratio is then defined.
+    decimal, since neither spread ratio is then defined, and EdgeLcaError
+    when either ratio overflows to infinity.
     """
     min_profile = HardwareProfile("framework_min", tuple(
         min(valid_levels(b), key=lambda lv: table.lookup(b, lv).low) for b in BLOCKS))
@@ -73,6 +75,10 @@ def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
     if rounded_min == 0.0:
         raise ZeroTotal(f"minimum sum-of-low {min_low:g} kgCO2-eq rounds to 0.0 at one "
                         "decimal; the spread ratios are undefined")
+    ratio_exact, ratio_published = max_up / min_low, max_up / rounded_min
+    if not (math.isfinite(ratio_exact) and math.isfinite(ratio_published)):
+        raise EdgeLcaError(f"spread ratio overflows: maximum sum-of-up {max_up:g} kgCO2-eq "
+                           f"over minimum sum-of-low {min_low:g} kgCO2-eq")
     return SensitivityResult(
         min_profile=min_profile,
         max_profile=max_profile,
@@ -80,8 +86,8 @@ def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
         max_total=max_total,
         min_low_sum=min_low,
         max_up_sum=max_up,
-        ratio_exact=max_up / min_low,
-        ratio_published_rounding=max_up / rounded_min,
+        ratio_exact=ratio_exact,
+        ratio_published_rounding=ratio_published,
     )
 
 

@@ -477,6 +477,19 @@ class TestSensitivity:
         assert "spread ratio (exact): 163.5x" in result.output
         assert "spread ratio (published rounding): 158.0x" in result.output
 
+    def test_overflowing_ratio_exits_one(self, runner, tmp_path, table):
+        # Every nonzero up at 1e307: the maximum sum-of-up is finite, its
+        # ratio to the minimum sum-of-low is not.
+        cells = {cell: EmissionTriple(t.low, t.typical, 1e307 if t.up else 0.0)
+                 for cell, t in table.cells.items()}
+        path = tmp_path / "factors.csv"
+        path.write_text(serialize_factor_table(EmissionFactorTable(cells)), encoding="utf-8")
+        result = runner.invoke(main, ["sensitivity", "--factors", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: spread ratio overflows: maximum sum-of-up 1.2e+308 "
+                                 "kgCO2-eq over minimum sum-of-low 0.29 kgCO2-eq\n")
+
     def test_series_out(self, runner, tmp_path):
         series = tmp_path / "series.csv"
         result = runner.invoke(main, ["sensitivity", "--series-out", str(series)])
@@ -798,3 +811,51 @@ class TestNotUtf8:
     def test_data_dir(self, runner, latin1_factors, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, str(latin1_factors.parent))
         self.check(runner.invoke(main, ["sensitivity"]), latin1_factors)
+
+
+COMMANDS = ("estimate", "validate", "sensitivity", "project", "pathway")
+
+
+def option_help(runner, command, option):
+    """The help text `command --help` shows beside `option`."""
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    return re.search(rf"^  {option} FILE\b *(.*)$", result.stdout, re.M).group(1)
+
+
+class TestCommandContract:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"Usage: main {command} ")
+
+    @pytest.mark.parametrize("option, commands, text", [
+        ("--out", ("estimate", "sensitivity", "project", "pathway"),
+         "Write output to a file instead of stdout."),
+        ("--factors", ("estimate", "sensitivity"), "Emission-factor table (default: bundled)."),
+    ], ids=["out", "factors"])
+    def test_shared_option_has_one_help_line(self, runner, option, commands, text):
+        assert {c: option_help(runner, c, option) for c in commands} == dict.fromkeys(commands, text)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_domain_error_exits_one_with_one_error_line(self, runner, tmp_path, monkeypatch,
+                                                        command):
+        # A data directory that does not exist, a profile that is not UTF-8,
+        # and an end year before the pathway starts.
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "nowhere"))
+        latin1 = tmp_path / "latin1.iotprof"
+        latin1.write_bytes(b"format_version = 1\n# caf\xe9\n")
+        args = {
+            "estimate": ["estimate", str(FIXTURES / "valid.iotprof")],
+            "validate": ["validate", str(latin1)],
+            "sensitivity": ["sensitivity"],
+            "project": ["project"],
+            "pathway": ["pathway", "--end-year", "2019"],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")

@@ -201,6 +201,12 @@ class TestConversions:
         # Same capacity on denser flash needs about 3.2 mm2.
         assert memory_area(512, "MB", "flash", units) == pytest.approx(3.2, rel=0.02)
 
+    def test_memory_area_negative_capacity(self, units):
+        with pytest.raises(EdgeLcaError) as info:
+            memory_area(-1, "MB", "dram", units)
+        assert type(info.value) is EdgeLcaError
+        assert str(info.value) == "memory capacity must be nonnegative, got -1"
+
     def test_memory_area_bad_kind(self, units):
         with pytest.raises(EdgeLcaError):
             memory_area(512, "MB", "sram", units)

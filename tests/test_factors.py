@@ -149,6 +149,14 @@ class TestFactorTable:
         assert bits(reloaded.cells) == bits(cells)
         assert serialize_factor_table(reloaded) == text
 
+    def test_duplicate_cell_names_its_line(self, table):
+        text = serialize_factor_table(table) + "processing,hsl3,2.31,3.13,3.98\n"
+        line = len(text.splitlines())
+        with pytest.raises(FactorParseError) as info:
+            parse_factor_table(text)
+        assert str(info.value) == f"duplicate cell (processing, hsl3) (line {line}, column 1)"
+        assert (info.value.line, info.value.column) == (line, 1)
+
     def test_unknown_block_fails_loudly(self, table):
         text = serialize_factor_table(table) + "antenna,hsl0,0,0,0\n"
         with pytest.raises(FactorParseError, match="antenna"):
@@ -218,6 +226,10 @@ class TestFactorTable:
                 assert abs(g - e) <= 0.02
 
 
+#: Values a unit-registry entry accepts: strictly positive and finite.
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
 class TestUnitRegistry:
     def test_shipped_builtins(self, units):
         assert units.get("li_ion_per_kg").scalar() == 25
@@ -264,6 +276,26 @@ class TestUnitRegistry:
         assert reg.get("ranged").as_triple() == EmissionTriple(1, 2, 3)
         assert reg.get("ranged").scalar() == 2
 
+    def test_triple_with_zero_low_rejected(self):
+        with pytest.raises(InvalidTriple, match="^entry 'ranged' must be strictly positive$"):
+            UnitFactor(key="ranged", value=EmissionTriple(0, 1, 2), unit="kgCO2-eq/kg")
+        with pytest.raises(InvalidTriple,
+                           match="^line 10: entry 'ranged' must be strictly positive$"):
+            parse_unit_registry(MINIMAL_UNITS + "ranged,0/1/2,kgCO2-eq/kg,\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("ranged,1/2,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2'"),
+        ("ranged,1/2/3/4,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2/3/4'"),
+        ("ranged,3/2/1,kgCO2-eq/kg,",
+         "triple (3.0, 2.0, 1.0) violates 0 <= low <= typical <= up < inf"),
+        (",1,kgCO2-eq/kg,", "empty key"),
+    ], ids=["two-parts", "four-parts", "unordered", "empty-key"])
+    def test_bad_entry_names_its_line(self, row, message):
+        with pytest.raises(FactorParseError) as info:
+            parse_unit_registry(MINIMAL_UNITS + row + "\n")
+        assert str(info.value) == f"{message} (line 10, column 1)"
+        assert (info.value.line, info.value.column) == (10, 1)
+
     def test_serialize_roundtrip(self, units):
         text = serialize_unit_registry(units)
         reloaded = parse_unit_registry(text)
@@ -271,12 +303,16 @@ class TestUnitRegistry:
         assert serialize_unit_registry(reloaded) == text
 
     @given(st.dictionaries(
-        st.text(alphabet='ab_ ,"#\n'), st.text(alphabet='ab_ ,"#\n'), max_size=4
+        st.text(alphabet='ab_ ,"#\n'),
+        st.tuples(st.text(alphabet='ab_ ,"#\n'), st.one_of(
+            POSITIVE, st.tuples(POSITIVE, POSITIVE, POSITIVE).map(
+                lambda t: EmissionTriple(*sorted(t))))),
+        max_size=4,
     ))
     def test_serialize_roundtrip_property(self, units, extra):
         entries = dict(units.entries)
-        for key, note in extra.items():
-            entries[key] = UnitFactor(key=key, value=1.5, unit="kgCO2-eq/kg", note=note)
+        for key, (note, value) in extra.items():
+            entries[key] = UnitFactor(key=key, value=value, unit="kgCO2-eq/kg", note=note)
         registry = UnitFactorRegistry(entries)
         try:
             text = serialize_unit_registry(registry)

@@ -65,6 +65,11 @@ class TestTriple:
         with pytest.raises(InvalidTriple):
             EmissionTriple(-1.0, 0.0, 1.0)
 
+    def test_add_refuses_a_number(self):
+        with pytest.raises(TypeError, match=re.escape(
+                "unsupported operand type(s) for +: 'EmissionTriple' and 'int'")):
+            EmissionTriple(1, 2, 3) + 1
+
     def test_add_identity(self):
         assert ZERO_TRIPLE + EmissionTriple(1, 2, 3) == EmissionTriple(1, 2, 3)
 
@@ -129,6 +134,12 @@ class TestProfile:
         assignments = self._full_assignments()
         del assignments[FunctionalBlock.TRANSPORT]
         with pytest.raises(InvalidProfile, match="transport"):
+            HardwareProfile.from_mapping(name="p", assignments=assignments)
+
+    def test_non_block_key_rejected(self):
+        assignments = {**self._full_assignments(), "pcb": HSL.HSL0}
+        with pytest.raises(InvalidProfile,
+                           match=re.escape("profile 'p' has non-block keys: ['pcb']")):
             HardwareProfile.from_mapping(name="p", assignments=assignments)
 
     def test_forbidden_security_rejected(self):

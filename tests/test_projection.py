@@ -65,6 +65,12 @@ class TestAnnualConversion:
         with pytest.raises(NotCumulative):
             cumulative_to_annual(trends[("ARM", "annual")])
 
+    def test_rejects_no_points(self):
+        with pytest.raises(EdgeLcaError) as info:
+            DeploymentTrend("CISCO", TrendKind.CUMULATIVE, {})
+        assert type(info.value) is EdgeLcaError
+        assert str(info.value) == "trend 'CISCO' has no points"
+
     def test_rejects_single_point(self):
         t = make_cumulative({2020: 5.0})
         with pytest.raises(TooFewPoints):

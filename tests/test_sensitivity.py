@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from edgelca.cli import main
-from edgelca.errors import ZeroTotal
+from edgelca.errors import EdgeLcaError, ZeroTotal
 from edgelca.factors import EmissionFactorTable, serialize_factor_table
 from edgelca.model import (
     BLOCKS,
@@ -96,6 +96,20 @@ class TestExtrema:
                  for cell, t in table.cells.items()}
         with pytest.raises(ZeroTotal, match=f"^minimum sum-of-low {4 * low:g} kgCO2-eq "
                                             "rounds to 0.0 at one decimal"):
+            scan_extrema(EmissionFactorTable(cells))
+
+    @pytest.mark.parametrize("low_scale, up, sums", [
+        (1.0, 1e307, r"1\.2e\+308 kgCO2-eq over minimum sum-of-low 0\.29"),
+        (0.5, 2e306, r"2\.4e\+307 kgCO2-eq over minimum sum-of-low 0\.145"),
+    ], ids=["both-ratios", "published-ratio-alone"])
+    def test_overflowing_ratio_raises(self, table, low_scale, up, sums):
+        # Twelve blocks of `up` sum to a finite maximum. Over 0.29 both ratios
+        # overflow. Halved lows sum to 0.145, which rounds down to 0.1: over it
+        # only the published-rounding ratio overflows.
+        cells = {cell: EmissionTriple(t.low * low_scale, t.typical, up if t.up else 0.0)
+                 for cell, t in table.cells.items()}
+        with pytest.raises(EdgeLcaError, match=f"^spread ratio overflows: maximum sum-of-up "
+                                               f"{sums} kgCO2-eq$"):
             scan_extrema(EmissionFactorTable(cells))
 
     def test_minimum_past_decimal_precision(self, table):
