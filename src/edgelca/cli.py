@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -33,21 +34,22 @@ from .sensitivity import level_series_csv, scan_extrema
 PROJECTION_SOURCES = ("CISCO", "Statista")
 
 
-#: Characters written at a time, so no encoded copy of a whole output is made.
-WRITE_SLICE = 1 << 20
+#: Reports rendered and written at a time, so no string of a whole output is made.
+REPORT_SLICE = 1000
 
 
-def _emit(text: str, out: Path | None):
+def _emit(pieces: Iterable[str], out: Path | None):
+    """Write each piece as it arrives, to `out` or to stdout."""
     # color=True: where stdout is not a terminal, click would strip what looks
     # like an ANSI code (an ESC in a profile name), so stdout gets what --out does.
-    slices = (text[i:i + WRITE_SLICE] for i in range(0, len(text), WRITE_SLICE))
     if out is None:
-        for part in slices:
-            click.echo(part, nl=False, color=True)
+        for piece in pieces:
+            click.echo(piece, nl=False, color=True)
+            del piece  # so one piece is not still held while the next is made
     else:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(slices)
+                fh.writelines(pieces)
         except OSError as exc:
             raise EdgeLcaError(f"{out}: cannot write ({exc.strerror or exc})") from None
 
@@ -92,7 +94,9 @@ def estimate(profile_file, factors, units, fmt, out):
     table = defaults.default_factor_table(factors)
     registry = defaults.default_unit_registry(units)
     reports = batch_evaluate(document.profiles, table, registry)
-    _emit(render_reports(reports, fmt), out)
+    # At least one slice, so an empty batch still gets its csv header.
+    _emit((render_reports(reports[start:start + REPORT_SLICE], fmt, continued=start > 0)
+           for start in range(0, len(reports) or 1, REPORT_SLICE)), out)
     if fmt != "table":  # the table carries its warnings; csv and jsonl rows cannot
         for report in reports:
             for warning in report.warnings:
@@ -131,9 +135,9 @@ def sensitivity(factors, series_out, out):
         "min profile: " + ", ".join(
             f"{b.key}={lv.key}" for b, lv in result.min_profile.assignments.items()),
     ]
-    _emit("\n".join(lines) + "\n", out)
+    _emit(["\n".join(lines) + "\n"], out)
     if series_out is not None:
-        _emit(level_series_csv(table), series_out)
+        _emit([level_series_csv(table)], series_out)
 
 
 @main.command(name="project")
@@ -171,7 +175,7 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
                            psi=scenario.psi if psi is None else psi)
         for annual in annuals:
             series.append(project(scenario, annual))
-    _emit(projection_csv(series), out)
+    _emit([projection_csv(series)], out)
 
 
 @main.command()
@@ -183,7 +187,7 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
 @_out_option
 def pathway(start_low, start_high, end_year, out):
     """Reference emissions pathway declining 7.6 %/year from 2020."""
-    _emit(pathway_csv(paris_pathway(start_low, start_high, end_year)), out)
+    _emit([pathway_csv(paris_pathway(start_low, start_high, end_year))], out)
 
 
 if __name__ == "__main__":

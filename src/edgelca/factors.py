@@ -6,8 +6,9 @@ cells or broken ordering; silent data loss is the worst failure mode for an
 inventory database.
 
 The text helpers that every data and profile file goes through live here
-too: `read_text` reads a file, `split_lines` cuts it into lines and
-`read_rows` holds the grammar shared by the four data CSVs.
+too: `read_text` reads a file, `iter_lines` cuts it into lines,
+`read_rows` holds the grammar shared by the four data CSVs and
+`parse_number` reads one of their numeric fields.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     EdgeLcaError,
@@ -186,21 +187,47 @@ def read_text(path: Path) -> str:
         raise EdgeLcaError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-def split_lines(text: str) -> List[str]:
+#: Characters, at least, that `iter_lines` splits at a time.
+LINE_BLOCK = 1 << 16
+
+
+def iter_lines(text: str) -> Iterator[str]:
     """`text` cut at its line breaks: LF, CRLF and a lone CR.
 
     Unlike `str.splitlines`, no other character ends a line, so a form feed
     or U+2028 in a comment keeps the line numbers `grep -n` shows. Text that
     this leaves whole fits on one line of a data or profile file.
+
+    The lines come a block at a time: each block runs to the first LF at
+    least `LINE_BLOCK` characters past its start, so a whole file's lines
+    are never held at once.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while True:
+        cut = text.find("\n", start + LINE_BLOCK)
+        if cut < 0:
+            yield from text[start:].split("\n")
+            return
+        yield from text[start:cut].split("\n")
+        start = cut + 1
 
 
-def _parse_float(text: str) -> float:
+def split_lines(text: str) -> List[str]:
+    """The lines of `text`, as `iter_lines` cuts them."""
+    return list(iter_lines(text))
+
+
+def parse_number(text: str, name: str, column: int,
+                 kind: Callable[[str], float] = float) -> float:
+    """Data-file field `name`, at csv column `column` (1-based), as a `kind`
+    (float or int); a FactorParseError naming the field and its column if
+    it is not one."""
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise FactorParseError(f"expected a number, got {text!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise FactorParseError(f"{name}: expected {what}, got {text!r}", column=column) from None
 
 
 def _field_start(line: str, number: int) -> int:
@@ -235,7 +262,7 @@ def read_rows(text: str, header: List[str], empty_message: str, row: Callable[[L
     meta = {}
     rows = []
     header_seen = False
-    for line_no, raw in enumerate(split_lines(text), start=1):
+    for line_no, raw in enumerate(iter_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -284,7 +311,7 @@ def parse_factor_table(text: str) -> EmissionFactorTable:
             raise FactorParseError(f"unknown hardware specification level {fields[1]!r}", column=2)
         if (block, level) not in _DEFINED:
             raise ForbiddenCell(f"({block.key}, {level.key}) is not a valid combination")
-        low, typ, up = map(_parse_float, fields[2:])
+        low, typ, up = (parse_number(fields[i], FACTOR_HEADER[i], i + 1) for i in (2, 3, 4))
         if not (0.0 <= low <= typ <= up):
             raise InvalidOrdering(
                 f"cell ({block.key}, {level.key}) has unordered values ({low}, {typ}, {up})"
@@ -313,16 +340,17 @@ def serialize_factor_table(table: EmissionFactorTable) -> str:
 
 
 def _parse_value(text: str):
-    """Scalar `v` or triple `low/typ/up`."""
+    """Scalar `v` or triple `low/typ/up`, from the registry's value field
+    (column 2)."""
     if "/" in text:
         parts = text.split("/")
         if len(parts) != 3:
-            raise FactorParseError(f"triple value needs 3 components, got {text!r}")
+            raise FactorParseError(f"triple value needs 3 components, got {text!r}", column=2)
         try:
-            return EmissionTriple(*map(_parse_float, parts))
+            return EmissionTriple(*(parse_number(part, "value", 2) for part in parts))
         except InvalidTriple as exc:
-            raise FactorParseError(str(exc)) from None
-    return _parse_float(text)
+            raise FactorParseError(str(exc), column=2) from None
+    return parse_number(text, "value", 2)
 
 
 def parse_unit_registry(text: str) -> UnitFactorRegistry:

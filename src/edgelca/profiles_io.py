@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
-from .factors import csv_field, read_text, split_lines
+from .factors import csv_field, iter_lines, read_text, split_lines
 from .model import (
     BLOCKS,
     ComponentOverride,
@@ -171,7 +171,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
-    for line_no, raw in enumerate(split_lines(text), start=1):
+    for line_no, raw in enumerate(iter_lines(text), start=1):
         line = raw.split("#", 1)[0]
         # A level line that can assign its block does so here; under a rejected
         # header it writes levels that are never read.
@@ -289,26 +289,32 @@ REPORT_FORMATS = ("table", "csv", "jsonl")
 _CSV_HEADER = "profile,block,level,low,typical,up"
 
 
-def render_reports(reports: Sequence[EvaluationReport], format: str = "table") -> str:
+def render_reports(reports: Sequence[EvaluationReport], format: str = "table",
+                   continued: bool = False) -> str:
     """Render a batch. csv and jsonl are byte-stable contracts: fixed key
     order, 2-decimal values, LF line endings. The table format is for
-    humans only."""
+    humans only.
+
+    With `continued`, the text continues an earlier batch's: csv leaves out
+    its header and a non-empty table starts with the blank line that
+    separates profiles. So the renders of consecutive slices of a batch,
+    all but the first continued, join to the render of the whole batch."""
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown format {format!r}; choose from {REPORT_FORMATS}")
     if format == "csv":
-        return _render_csv(reports)
+        return _render_csv(reports, continued)
     if format == "jsonl":
         return _render_jsonl(reports)
-    return _render_table(reports)
+    return _render_table(reports, continued)
 
 
 def _csv_row(block: str, level: str, t: EmissionTriple) -> str:
     return f"{block},{level},{t.low:.2f},{t.typical:.2f},{t.up:.2f}"
 
 
-def _render_csv(reports: Sequence[EvaluationReport]) -> str:
+def _render_csv(reports: Sequence[EvaluationReport], continued: bool) -> str:
     chunks = _prefixed(reports, _csv_row, lambda name: f"{csv_field(name)},")
-    return "\n".join([_CSV_HEADER, *chunks, ""])
+    return "\n".join([*([] if continued else [_CSV_HEADER]), *chunks, ""])
 
 
 def _prefixed(reports: Sequence[EvaluationReport], row, prefix):
@@ -370,10 +376,12 @@ def _table_row(block: str, level: str, t: EmissionTriple) -> str:
     return f"{block:<16}{level:<10}{t.low:>8.2f}{t.typical:>9.2f}{t.up:>8.2f}"
 
 
-def _render_table(reports: Sequence[EvaluationReport]) -> str:
+def _render_table(reports: Sequence[EvaluationReport], continued: bool) -> str:
     # Each chunk ends with its own newline, so joining them leaves one blank
-    # line between profiles and no copy of the whole output is made to end it.
+    # line between profiles and no copy of the whole output is made to end it;
+    # an empty first chunk puts that blank line before a continued batch.
     return "\n".join([
-        "\n".join([f"profile: {report.estimate.profile_name}", _TABLE_HEADER, *rows,
-                   *(f"warning: {warning}" for warning in report.warnings), ""])
-        for report, rows in _rows(reports, _table_row)])
+        *([""] if continued and reports else []),
+        *("\n".join([f"profile: {report.estimate.profile_name}", _TABLE_HEADER, *rows,
+                     *(f"warning: {warning}" for warning in report.warnings), ""])
+          for report, rows in _rows(reports, _table_row))])

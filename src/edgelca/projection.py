@@ -25,7 +25,7 @@ from .errors import (
     NotCumulative,
     TooFewPoints,
 )
-from .factors import csv_field, read_rows
+from .factors import csv_field, parse_number, read_rows
 from .model import EmissionTriple
 
 FIRST_YEAR = 2018
@@ -245,13 +245,12 @@ def parse_trends(text: str) -> List[DeploymentTrend]:
         try:
             kind = TrendKind(kind_s.lower())
         except ValueError:
-            raise FactorParseError(f"unknown trend kind {kind_s!r}") from None
-        try:
-            year = int(year_s)
-            value = float(value_s)
-            extrapolated = {"0": False, "1": True}[extra_s]
-        except (ValueError, KeyError):
-            raise FactorParseError(f"malformed row {fields!r}") from None
+            raise FactorParseError(f"unknown trend kind {kind_s!r}", column=2) from None
+        year = parse_number(year_s, "year", 3, int)
+        value = parse_number(value_s, "value", 4)
+        if extra_s not in ("0", "1"):
+            raise FactorParseError(f"extrapolated: expected 0 or 1, got {extra_s!r}", column=5)
+        extrapolated = extra_s == "1"
         _check_point(source, year, value)
         points, flags = series.setdefault((source, kind), ({}, set()))
         if year in points:
@@ -275,10 +274,8 @@ def parse_scenarios(text: str) -> List[Scenario]:
         if name in seen:
             raise FactorParseError(f"duplicate scenario {name!r}")
         seen.add(name)
-        try:
-            nums = [float(f) for f in fields[1:]]
-        except ValueError:
-            raise FactorParseError(f"malformed row {fields!r}") from None
+        nums = [parse_number(fields[i], SCENARIOS_HEADER[i], i + 1)
+                for i in range(1, len(SCENARIOS_HEADER))]
         return Scenario(name=name, alpha=nums[0], psi=nums[1],
                         d_simple=EmissionTriple(*nums[2:5]), d_complex=EmissionTriple(*nums[5:8]))
 

@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from edgelca.cli import WRITE_SLICE, _emit, main
+import edgelca.cli
+from edgelca.cli import REPORT_SLICE, main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 from edgelca.errors import InvalidOverrideUnit, InvalidProfile
 from edgelca.estimator import apply_override, batch_evaluate
@@ -48,6 +49,17 @@ ERROR_FIXTURES = sorted(
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def many_profiles(count, more_names=()):
+    """A document of profiles named p0 to p<count - 1>, then `more_names`,
+    each block at a level chosen by the profile's index."""
+    names = [f"p{i}" for i in range(count)] + list(more_names)
+    levels = [(b.key, valid_levels(b)) for b in FunctionalBlock]
+    return "format_version = 1\n" + "".join(
+        f"[{name}]\n" + "".join(f"{key} = {allowed[index % len(allowed)].key}\n"
+                                for key, allowed in levels)
+        for index, name in enumerate(names))
 
 
 class TestEstimate:
@@ -183,29 +195,81 @@ class TestEstimate:
             assert result.stderr == "".join(
                 f"warning: profile '{name}': {warning}\n" for name, warning in warnings)
 
+    def test_each_render_gets_at_most_one_slice(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "many.iotprof"
+        path.write_text(many_profiles(2 * REPORT_SLICE + 1), encoding="utf-8")
+        calls = []
+
+        def recording(reports, fmt, continued=False):
+            calls.append((len(reports), continued))
+            return render_reports(reports, fmt, continued=continued)
+
+        monkeypatch.setattr(edgelca.cli, "render_reports", recording)
+        result = runner.invoke(main, ["estimate", str(path), "--format", "csv"])
+        assert result.exit_code == 0
+        assert calls == [(REPORT_SLICE, False), (REPORT_SLICE, True), (1, True)]
+
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
-    def test_output_over_a_write_slice_is_the_same_bytes_everywhere(
+    def test_output_across_a_report_slice_is_the_same_bytes_everywhere(
             self, runner, tmp_path, table, units, fmt):
-        # The first name is long enough that the first slice ends inside it
-        # in every format; jsonl writes each "é" as the six characters "\u00e9".
-        width = 6 if fmt == "jsonl" else 1
-        names = ["é" * (WRITE_SLICE // width + 1), "naïve", "€uro"]
-        text = "format_version = 1\n" + "".join(
-            f"[{name}]\n" + "".join(f"{b.key} = hsl1\n" for b in FunctionalBlock)
-            for name in names)
+        # Quoted and non-ASCII names on both sides of the slice boundary.
+        text = many_profiles(REPORT_SLICE - 3, ['a,"b"', "naïve", "€uro", 'é,"x"'])
         path = tmp_path / "long.iotprof"
         path.write_text(text, encoding="utf-8")
         expected = render_reports(batch_evaluate(parse_profiles(text).profiles, table, units),
-                                  fmt)
-        rendered = json.dumps(names[0])[1:-1] if fmt == "jsonl" else names[0]
-        start = expected.index(rendered)
-        assert start < WRITE_SLICE < start + len(rendered) < len(expected)
+                                  fmt).encode("utf-8")
         out = tmp_path / f"long.{fmt}"
         to_stdout = runner.invoke(main, ["estimate", str(path), "--format", fmt])
         to_file = runner.invoke(main, ["estimate", str(path), "--format", fmt, "--out", str(out)])
         assert (to_stdout.exit_code, to_file.exit_code, to_file.stdout) == (0, 0, "")
-        assert to_stdout.stdout_bytes == expected.encode("utf-8")
-        assert out.read_bytes() == expected.encode("utf-8")
+        assert to_stdout.stdout_bytes == expected
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_bad_last_profile_writes_nothing(self, runner, tmp_path, fmt):
+        # Every profile is evaluated before the first slice is written.
+        count = REPORT_SLICE + 1
+        text = many_profiles(count) + "override.memory = mass_scaled:1g@no_such_key\n"
+        path = tmp_path / "bad.iotprof"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"bad.{fmt}"
+        for args in ([], ["--out", str(out)]):
+            result = runner.invoke(main, ["estimate", str(path), "--format", fmt, *args])
+            assert (result.exit_code, result.stdout) == (1, "")
+            assert result.stderr == (f"error: profile #{count - 1} ('p{count - 1}'): override on "
+                                     "memory: unknown factor key 'no_such_key'\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_writing_adds_less_than_the_output_length(self, tmp_path, monkeypatch, to_stdout):
+        # What the run holds once every profile is evaluated (0.63x the output
+        # here) is measured apart, so the rest is what rendering and writing
+        # add: one slice's chunks and string, or its string and encoded bytes.
+        path = tmp_path / "many.iotprof"
+        path.write_text(many_profiles(3000), encoding="utf-8")
+        out = tmp_path / "many.jsonl"
+        held = []
+
+        def evaluating(*args):
+            reports = batch_evaluate(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return reports
+
+        monkeypatch.setattr(edgelca.cli, "batch_evaluate", evaluating)
+        argv = ["estimate", str(path), "--format", "jsonl"]
+        if not to_stdout:
+            argv += ["--out", str(out)]
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                main(argv, standalone_mode=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        written = (tmp_path / "stdout" if to_stdout else out).read_text(encoding="utf-8")
+        assert written.startswith('{"profile": "p0", ') and written.endswith("}\n")
+        assert peak - held[0] < len(written)
 
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_escape_in_a_profile_name_reaches_stdout(self, runner, tmp_path, fmt):
@@ -221,23 +285,6 @@ class TestEstimate:
         runner.invoke(main, ["estimate", str(path), "--format", fmt, "--out", str(out)])
         assert "red\x1b[31mname" in out.read_text(encoding="utf-8")
         assert to_stdout.stdout_bytes == out.read_bytes()
-
-    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
-    def test_write_holds_about_one_slice(self, tmp_path, to_stdout):
-        text = "x" * (4 * WRITE_SLICE)
-        target = tmp_path / "written"
-        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, \
-                contextlib.redirect_stdout(fh):
-            tracemalloc.start()
-            try:
-                _emit(text, None if to_stdout else target)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        written = tmp_path / "stdout" if to_stdout else target
-        assert written.read_text(encoding="utf-8") == text
-        # One slice and its encoded bytes, not an encoded copy of the output.
-        assert peak <= 2.5 * WRITE_SLICE
 
 
 class TestValidate:

@@ -3,7 +3,7 @@ import csv
 import pytest
 from hypothesis import given, strategies as st
 
-from edgelca import defaults
+from edgelca import defaults, factors
 from edgelca.errors import (
     EdgeLcaError,
     FactorParseError,
@@ -19,6 +19,7 @@ from edgelca.factors import (
     UnitFactor,
     UnitFactorRegistry,
     csv_field,
+    iter_lines,
     parse_factor_table,
     parse_unit_registry,
     serialize_factor_table,
@@ -283,18 +284,19 @@ class TestUnitRegistry:
                            match="^line 10: entry 'ranged' must be strictly positive$"):
             parse_unit_registry(MINIMAL_UNITS + "ranged,0/1/2,kgCO2-eq/kg,\n")
 
-    @pytest.mark.parametrize("row, message", [
-        ("ranged,1/2,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2'"),
-        ("ranged,1/2/3/4,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2/3/4'"),
+    @pytest.mark.parametrize("row, message, column", [
+        ("ranged,1/2,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2'", 8),
+        ("ranged,1/2/3/4,kgCO2-eq/kg,", "triple value needs 3 components, got '1/2/3/4'", 8),
         ("ranged,3/2/1,kgCO2-eq/kg,",
-         "triple (3.0, 2.0, 1.0) violates 0 <= low <= typical <= up < inf"),
-        (",1,kgCO2-eq/kg,", "empty key"),
-    ], ids=["two-parts", "four-parts", "unordered", "empty-key"])
-    def test_bad_entry_names_its_line(self, row, message):
+         "triple (3.0, 2.0, 1.0) violates 0 <= low <= typical <= up < inf", 8),
+        ('"r,1",1/x/3,kgCO2-eq/kg,', "value: expected a number, got 'x'", 7),
+        (",1,kgCO2-eq/kg,", "empty key", 1),
+    ], ids=["two-parts", "four-parts", "unordered", "bad-part", "empty-key"])
+    def test_bad_entry_names_its_line(self, row, message, column):
         with pytest.raises(FactorParseError) as info:
             parse_unit_registry(MINIMAL_UNITS + row + "\n")
-        assert str(info.value) == f"{message} (line 10, column 1)"
-        assert (info.value.line, info.value.column) == (10, 1)
+        assert str(info.value) == f"{message} (line 10, column {column})"
+        assert (info.value.line, info.value.column) == (10, column)
 
     def test_serialize_roundtrip(self, units):
         text = serialize_unit_registry(units)
@@ -422,7 +424,11 @@ class TestDataFileGrammar:
                 err = info.value
                 assert type(err) is errors[BAD_NUMBERS.index(value)], (name, number, err)
                 if isinstance(err, FactorParseError):
-                    assert err.line == number, (name, err)
+                    # The field's column as `with_field` wrote the row.
+                    fields = next(csv.reader([lines[number - 1]]))[:column]
+                    start = len(",".join(map(csv_field, fields))) + 2
+                    assert (err.line, err.column) == (number, start), (name, err)
+                    assert err.args[0].startswith(f"{name}: expected "), (name, err)
                 else:
                     assert str(err).startswith(f"line {number}: "), (name, err)
 
@@ -435,3 +441,26 @@ class TestDataFileGrammar:
         with pytest.raises(FactorParseError, match="fields, got 2") as info:
             parse(text)
         assert info.value.line == len(lines)
+
+
+class TestIterLines:
+    @staticmethod
+    def expected(text):
+        return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    # Blocks of 1 to 3 characters put a cut next to every LF, CRLF, lone CR,
+    # form feed and U+2028 that the drawn text holds.
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @given(text=st.text(alphabet=st.sampled_from("ab\n\r\x0c\u2028"), max_size=40))
+    def test_same_lines_as_one_split_property(self, block, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factors, "LINE_BLOCK", block)
+            assert list(iter_lines(text)) == self.expected(text)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
+    def test_line_break_across_a_block_edge(self, newline):
+        # With the shipped block size, a break just before, at and after the edge.
+        for offset in (-2, -1, 0, 1):
+            text = "x" * (factors.LINE_BLOCK + offset) + newline + "y\x0cz" + newline * 2
+            text *= 3
+            assert list(iter_lines(text)) == self.expected(text)

@@ -1,5 +1,6 @@
 import cProfile
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -174,6 +175,13 @@ def reports(names):
     return st.builds(_report, names, LEVEL_TUPLES,
                      st.lists(overrides(), max_size=3, unique_by=lambda ov: ov.block),
                      st.tuples(*[TRIPLES] * len(FunctionalBlock)))
+
+
+#: Reports with override warnings and names that csv quotes and jsonl escapes.
+WARNED_REPORTS = st.builds(
+    lambda report, warnings: dataclasses.replace(report, warnings=tuple(warnings)),
+    reports(st.text(alphabet=st.one_of(st.sampled_from(',"é'), st.characters()), max_size=6)),
+    st.lists(st.text(max_size=8), max_size=2))
 
 
 #: Cell objects that reports share: 0.0 and -0.0, and equal values held in
@@ -662,6 +670,21 @@ class TestReportRendering:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(result)
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    @given(batch=st.lists(WARNED_REPORTS, max_size=4), data=st.data())
+    def test_continued_slices_join_to_the_whole_property(self, fmt, batch, data):
+        # Cuts from 1 on: only the first slice is not continued, and it is
+        # empty only when the batch is. Repeated cuts make empty slices.
+        cuts = sorted(data.draw(st.lists(st.integers(1, len(batch)), max_size=4))) if batch else []
+        bounds = [0, *cuts, len(batch)]
+        parts = [batch[start:end] for start, end in zip(bounds, bounds[1:])]
+        assert "".join(render_reports(part, fmt, continued=k > 0)
+                       for k, part in enumerate(parts)) == render_reports(batch, fmt)
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_continued_empty_batch_is_empty(self, fmt):
+        assert render_reports([], fmt, continued=True) == ""
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ValueError):

@@ -320,9 +320,30 @@ class TestParsing:
     @pytest.mark.parametrize("flag", ["2", "-1", "1_0", "yes"])
     def test_extrapolated_flag_is_zero_or_one(self, flag):
         text = f"source,kind,year,value,extrapolated\nX,annual,2020,1,0\nX,annual,2021,1,{flag}\n"
-        with pytest.raises(FactorParseError, match="malformed row") as info:
+        with pytest.raises(FactorParseError) as info:
             parse_trends(text)
-        assert info.value.line == 3
+        assert str(info.value) == f"extrapolated: expected 0 or 1, got {flag!r} (line 3, column 17)"
+
+    @pytest.mark.parametrize("row, message", [
+        ("X,yearly,2020,1,0", "unknown trend kind 'yearly' (line 2, column 3)"),
+        ('"X,Y",annual,20.5,1,0', "year: expected an integer, got '20.5' (line 2, column 14)"),
+        ("X,annual,2020,1 0,0", "value: expected a number, got '1 0' (line 2, column 15)"),
+    ])
+    def test_bad_trend_field_names_itself_and_its_column(self, row, message):
+        with pytest.raises(FactorParseError) as info:
+            parse_trends(f"source,kind,year,value,extrapolated\n{row}\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,half,1,0.3,0.96,1.33,16.62,30.47,47.41", "alpha: expected a number, got 'half'"),
+        ('"a,b",0.5,1,0.3,0.96,1.33,16.62,x,47.41', "dc_typ: expected a number, got 'x'"),
+    ])
+    def test_bad_scenario_number_names_its_field_and_column(self, row, message):
+        header = "name,alpha,psi,ds_low,ds_typ,ds_up,dc_low,dc_typ,dc_up\n"
+        bad = message.rsplit("'", 2)[1]
+        with pytest.raises(FactorParseError) as info:
+            parse_scenarios(header + row + "\n")
+        assert str(info.value) == f"{message} (line 2, column {row.index(',' + bad) + 2})"
 
     @pytest.mark.parametrize("row, message", [
         ("X,cumulative,2018,inf,0", "count for 2018 must be > 0 and finite"),
