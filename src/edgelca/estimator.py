@@ -9,6 +9,7 @@ at the reporting boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -79,11 +80,11 @@ def solder_mass(total_ic_area: float, units: UnitFactorRegistry) -> float:
 
 
 def _resolve_factor(override: ComponentOverride, units: UnitFactorRegistry) -> UnitFactor:
-    if override.factor_key not in units:
+    entry = units.entries.get(override.factor_key)
+    if entry is None:
         raise UnknownFactorKey(
             f"override on {override.block.key}: unknown factor key {override.factor_key!r}"
         )
-    entry = units.get(override.factor_key)
     expected = override.kind.factor_unit
     if entry.unit != expected:
         raise InvalidOverrideUnit(
@@ -95,8 +96,7 @@ def _resolve_factor(override: ComponentOverride, units: UnitFactorRegistry) -> U
 
 def apply_override(override: ComponentOverride, units: UnitFactorRegistry) -> EmissionTriple:
     """Compute the replacement triple for one override."""
-    entry = _resolve_factor(override, units)
-    factor = entry.as_triple()
+    factor = _resolve_factor(override, units).triple
     if override.kind is OverrideKind.MASS_SCALED:
         return factor.scale(override.quantity / 1000.0)  # g -> kg
     if override.kind is OverrideKind.UNIT_COUNT:
@@ -115,6 +115,9 @@ def evaluate_profile(
 ) -> EvaluationReport:
     """Per-block triples from the table, each replaced by its block's
     override if the profile has one, in block order."""
+    if not profile.overrides:
+        return EvaluationReport(profile, FootprintEstimate(
+            profile.name, tuple(map(getitem, table.rows, profile.levels))))
     triples = [row[level] for row, level in zip(table.rows, profile.levels)]
     warnings: List[str] = []
     for position, override in sorted((BLOCKS.index(ov.block), ov) for ov in profile.overrides):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -118,12 +119,14 @@ class EmissionFactorTable:
 
 @dataclass(frozen=True)
 class UnitFactor:
-    """One scaling constant: scalar or triple value, unit, provenance note."""
+    """One scaling constant: scalar or triple value, unit, provenance note.
+    `triple` is the value as an EmissionTriple, a scalar `v` as (v, v, v)."""
 
     key: str
     value: Union[float, EmissionTriple]
     unit: str
     note: str = ""
+    triple: EmissionTriple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.unit not in REGISTRY_UNITS:
@@ -131,24 +134,23 @@ class UnitFactor:
         required = REQUIRED_BUILTINS.get(self.key, self.unit)
         if self.unit != required:
             raise UnknownUnit(f"mandatory entry {self.key!r} must have unit {required!r}, got {self.unit!r}")
-        if isinstance(self.value, EmissionTriple):
-            if self.value.low <= 0:
+        value = self.value
+        if isinstance(value, EmissionTriple):
+            if value.low <= 0:
                 raise InvalidTriple(f"entry {self.key!r} must be strictly positive")
-        elif not (0 < self.value < math.inf):
+            object.__setattr__(self, "triple", value)
+        elif not (0 < value < math.inf):
             raise InvalidTriple(
-                f"entry {self.key!r} must be strictly positive and finite, got {self.value}"
+                f"entry {self.key!r} must be strictly positive and finite, got {value}"
             )
+        else:
+            object.__setattr__(self, "triple", EmissionTriple(value, value, value))
 
     def scalar(self) -> float:
         """Scalar view; triple-valued entries expose their typical value."""
         if isinstance(self.value, EmissionTriple):
             return self.value.typical
         return self.value
-
-    def as_triple(self) -> EmissionTriple:
-        if isinstance(self.value, EmissionTriple):
-            return self.value
-        return EmissionTriple(self.value, self.value, self.value)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,13 @@ class UnitFactorRegistry:
         return self.entries[key]
 
 
+#: The characters that make a csv field need quotes.
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
 def csv_field(text: str) -> str:
     """`text` as one csv field: quoted per RFC 4180 only when it needs it."""
-    if any(c in text for c in ',"\r\n'):
+    if not _CSV_QUOTED.isdisjoint(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -200,16 +206,22 @@ def iter_lines(text: str) -> Iterator[str]:
 
     The lines come a block at a time: each block runs to the first LF at
     least `LINE_BLOCK` characters past its start, so a whole file's lines
-    are never held at once.
+    are never held at once. Each block's CRLF and CR become LF on their own,
+    so no copy of the whole text is made; the CR of a CRLF at a block's end
+    is left out with its LF. Text with no LF is one block.
     """
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return chain.from_iterable(_block_lines(text))
+
+
+def _block_lines(text: str) -> Iterator[List[str]]:
+    """The lines of each of `iter_lines`' blocks, as one list per block."""
     start = 0
     while True:
         cut = text.find("\n", start + LINE_BLOCK)
+        end = len(text) if cut < 0 else cut - (text[cut - 1] == "\r")
+        yield text[start:end].replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if cut < 0:
-            yield from text[start:].split("\n")
             return
-        yield from text[start:cut].split("\n")
         start = cut + 1
 
 

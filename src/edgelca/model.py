@@ -77,6 +77,11 @@ _DEFINED = frozenset(CELLS)
 _VALID_LEVELS = tuple(frozenset(lv for b, lv in CELLS if b is block) for block in BLOCKS)
 
 
+#: `in` on `_VALID_LEVELS` also takes what only equals a member (1, True,
+#: another IntEnum's member); a level must also be of this type.
+_HSL_ONLY = frozenset({HSL})
+
+
 def valid_levels(block: FunctionalBlock) -> Tuple[HSL, ...]:
     return tuple(lv for b, lv in CELLS if b is block)
 
@@ -206,16 +211,24 @@ class HardwareProfile:
                                  f"got {type(levels).__name__}")
         if len(levels) != len(BLOCKS):
             raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(levels)}")
-        for block, level, allowed in zip(BLOCKS, levels, _VALID_LEVELS):
-            if not (isinstance(level, HSL) and level in allowed):
-                shown = level.key if isinstance(level, HSL) else repr(level)
-                raise InvalidProfile(f"profile {name!r}: {block.key} cannot be assigned {shown}")
-        overridden = set()
-        for ov in self.overrides:
-            if ov.block in overridden:
-                raise InvalidProfile(f"profile {name!r}: multiple overrides target {ov.block.key}")
-            overridden.add(ov.block)
-        object.__setattr__(self, "overrides", tuple(self.overrides))
+        # One C pass per rule, the type first so that `in` sees only hashable
+        # levels; the loop only names the first bad block.
+        if not (_HSL_ONLY.issuperset(map(type, levels))
+                and all(map(frozenset.__contains__, _VALID_LEVELS, levels))):
+            for block, level, allowed in zip(BLOCKS, levels, _VALID_LEVELS):
+                if not (isinstance(level, HSL) and level in allowed):
+                    shown = level.key if isinstance(level, HSL) else repr(level)
+                    raise InvalidProfile(
+                        f"profile {name!r}: {block.key} cannot be assigned {shown}")
+        overrides = tuple(self.overrides)
+        if len(overrides) > 1 and len({ov.block for ov in overrides}) < len(overrides):
+            overridden = set()
+            for ov in overrides:
+                if ov.block in overridden:
+                    raise InvalidProfile(
+                        f"profile {name!r}: multiple overrides target {ov.block.key}")
+                overridden.add(ov.block)
+        object.__setattr__(self, "overrides", overrides)
 
     @classmethod
     def from_mapping(cls, name: str, assignments: Mapping[FunctionalBlock, HSL],

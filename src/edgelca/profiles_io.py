@@ -15,9 +15,9 @@ line, a column and a stable error code.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,18 +87,25 @@ def _value_column(raw_line: str, value: str) -> int:
     return raw_line.find(value, raw_line.index("=") + 1) + 1
 
 
-@dataclass
 class _Section:
     """The open `[name]` section; `name` is None under a rejected header,
     whose entries are skipped. `levels` and `lines` hold each block's level
     and the line that assigned it, at the block's position in `BLOCKS`."""
 
-    name: Optional[str]
-    line: int
-    levels: List[Optional[HSL]] = field(default_factory=lambda: [None] * len(BLOCKS))
-    lines: List[int] = field(default_factory=lambda: [0] * len(BLOCKS))
-    overrides: Dict[FunctionalBlock, Tuple[ComponentOverride, int]] = field(default_factory=dict)
-    bad: bool = False
+    __slots__ = ("name", "line", "levels", "lines", "overrides", "bad")
+
+    def __init__(self, name: Optional[str], line: int):
+        self.name = name
+        self.line = line
+        self.levels: List[Optional[HSL]] = [None] * len(BLOCKS)
+        self.lines = [0] * len(BLOCKS)
+        self.overrides: Dict[FunctionalBlock, Tuple[ComponentOverride, int]] = {}
+        self.bad = False
+
+
+#: The `lines` that `validate_profiles` reads before the first header: every
+#: block assigned, so no level line is taken there.
+_NO_SECTION_LINES = (1,) * len(BLOCKS)
 
 
 def _section_entry(section: _Section, key: str, value: str, line_no: int,
@@ -117,13 +124,13 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
             return Diagnostic(
                 SYNTAX, f"override must be '<kind>:<quantity><unit>@<factor_key>', got {value!r}",
                 line_no, _value_column(raw, value))
-        kind = _KIND_BY_KEY.get(m.group("kind").lower())
+        kind_key, quantity, unit, factor_key = m.groups()
+        kind = _KIND_BY_KEY.get(kind_key.lower())
         if kind is None:
-            return Diagnostic(SYNTAX, f"unknown override kind {m.group('kind')!r}", line_no,
+            return Diagnostic(SYNTAX, f"unknown override kind {kind_key!r}", line_no,
                               _value_column(raw, value))
         try:
-            override = ComponentOverride(
-                block, kind, float(m.group("qty")), m.group("unit"), m.group("factor"))
+            override = ComponentOverride(block, kind, float(quantity), unit, factor_key)
         except InvalidProfile as exc:
             return Diagnostic(SYNTAX, str(exc), line_no, _value_column(raw, value))
         if block in section.overrides:
@@ -150,14 +157,14 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
     """Report the blocks a named section misses, or keep its profile if it is clean."""
     if section is None or section.name is None:
         return
-    if None in section.levels:
+    if not all(section.lines):  # a block with no line has no level
         missing = [b.key for b, level in zip(BLOCKS, section.levels) if level is None]
         diagnostics.append(Diagnostic(
             MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
             section.line))
     elif not section.bad:
-        profiles.append(HardwareProfile(
-            section.name, tuple(section.levels), tuple(ov for ov, _ in section.overrides.values())))
+        overrides = tuple(ov for ov, _ in section.overrides.values()) if section.overrides else ()
+        profiles.append(HardwareProfile(section.name, tuple(section.levels), overrides))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
@@ -171,17 +178,23 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
+    levels, lines = None, _NO_SECTION_LINES  # the open section's
+    cell_of = _CELL_LINES.get
     for line_no, raw in enumerate(iter_lines(text), start=1):
-        line = raw.split("#", 1)[0]
-        # A level line that can assign its block does so here; under a rejected
-        # header it writes levels that are never read.
-        cell = _CELL_LINES.get(" ".join(line.lower().split()))
-        if cell is not None and section is not None and not section.lines[cell[0]]:
-            position, level = cell
-            section.levels[position] = level
-            section.lines[position] = line_no
+        if not raw:
             continue
-        line = line.strip()
+        # A level line that can assign its block does so here; under a rejected
+        # header it writes levels that are never read. A line in normal form
+        # is its own key.
+        cell = cell_of(raw)
+        if cell is None and raw[0] != "[":
+            cell = cell_of(" ".join(raw.split("#", 1)[0].lower().split()))
+        if cell is not None and not lines[cell[0]]:
+            position, level = cell
+            levels[position] = level
+            lines[position] = line_no
+            continue
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _SECTION_RE.match(line) if line[0] == "[" else None
@@ -199,6 +212,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
             else:
                 header_lines[name] = line_no
             section = _Section(name, line_no)
+            levels, lines = section.levels, section.lines
             continue
         key, equals, value = line.partition("=")
         if not (equals and key):
@@ -338,18 +352,17 @@ def _rows(reports: Sequence[EvaluationReport], row):
     """
     memo = [[None] * len(_HSL_BY_KEY) for _ in BLOCKS]
     for report in reports:
-        labels = [level.key for level in report.profile.levels]
-        for ov in report.applied_overrides:
-            labels[BLOCKS.index(ov.block)] = "override"
+        overrides = report.applied_overrides
+        overridden = {ov.block for ov in overrides} if overrides else ()
         rows = []
-        for block, slots, level, label, triple in zip(
-                BLOCKS, memo, report.profile.levels, labels, report.estimate.triples):
-            if label == "override":
-                rows.append(row(block.key, label, triple))
+        for block, slots, level, triple in zip(
+                BLOCKS, memo, report.profile.levels, report.estimate.triples):
+            if block in overridden:
+                rows.append(row(block.key, "override", triple))
                 continue
             entry = slots[level]
             if entry is None or entry[0] is not triple:
-                entry = slots[level] = (triple, row(block.key, label, triple))
+                entry = slots[level] = (triple, row(block.key, level.key, triple))
             rows.append(entry[1])
         rows.append(row("TOTAL", "", report.estimate.total))
         yield report, rows
@@ -364,8 +377,10 @@ def _jsonl_row(block: str, level: str, t: EmissionTriple) -> str:
 
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     # Each line equals json.dumps of the dict {profile, block, level, low,
-    # typical, up} with separators (", ", ": ").
-    chunks = _prefixed(reports, _jsonl_row, lambda name: f'{{"profile": {json.dumps(name)}, ')
+    # typical, up} with separators (", ", ": "); json.dumps of a str is
+    # encode_basestring_ascii of it.
+    chunks = _prefixed(reports, _jsonl_row,
+                       lambda name: f'{{"profile": {encode_basestring_ascii(name)}, ')
     return "\n".join([*chunks, ""])
 
 

@@ -271,6 +271,16 @@ class TestEstimate:
         assert written.startswith('{"profile": "p0", ') and written.endswith("}\n")
         assert peak - held[0] < len(written)
 
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_crlf_copy_gives_the_golden_output(self, runner, tmp_path, fmt):
+        text = example_profile_path("use_cases").read_text(encoding="utf-8")
+        path = tmp_path / "use_cases.iotprof"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        result = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        assert result.exit_code == 0
+        golden = FIXTURES / "golden" / f"estimate_{fmt}.out"
+        assert result.stdout_bytes == golden.read_bytes()
+
     @pytest.mark.parametrize("fmt", ["csv", "table"])
     def test_escape_in_a_profile_name_reaches_stdout(self, runner, tmp_path, fmt):
         # click strips what looks like an ANSI colour code from output that

@@ -274,8 +274,13 @@ class TestUnitRegistry:
 
     def test_triple_valued_entry(self):
         reg = parse_unit_registry(MINIMAL_UNITS + "ranged,1/2/3,kgCO2-eq/kg,\n")
-        assert reg.get("ranged").as_triple() == EmissionTriple(1, 2, 3)
+        assert reg.get("ranged").triple == EmissionTriple(1, 2, 3)
         assert reg.get("ranged").scalar() == 2
+
+    def test_scalar_entry_triple_repeats_its_value(self):
+        reg = parse_unit_registry(MINIMAL_UNITS + "my_factor,3.5,kgCO2-eq/kg,custom\n")
+        assert reg.get("my_factor").triple == EmissionTriple(3.5, 3.5, 3.5)
+        assert reg.get("my_factor") == UnitFactor("my_factor", 3.5, "kgCO2-eq/kg", "custom")
 
     def test_triple_with_zero_low_rejected(self):
         with pytest.raises(InvalidTriple, match="^entry 'ranged' must be strictly positive$"):
@@ -456,6 +461,20 @@ class TestIterLines:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(factors, "LINE_BLOCK", block)
             assert list(iter_lines(text)) == self.expected(text)
+
+    def test_crlf_at_the_cut_drops_its_cr(self, monkeypatch):
+        # Each block ends just before the LF of a CRLF; its CR must not make
+        # an empty line of its own.
+        monkeypatch.setattr(factors, "LINE_BLOCK", 2)
+        text = "ab\r\ncd\r\nef"
+        assert list(factors._block_lines(text)) == [["ab"], ["cd"], ["ef"]]
+        assert list(iter_lines(text)) == ["ab", "cd", "ef"]
+
+    def test_text_without_lf_is_one_block(self, monkeypatch):
+        monkeypatch.setattr(factors, "LINE_BLOCK", 1)
+        text = "ab\rcd\r\ref\r" * 3
+        assert len(list(factors._block_lines(text))) == 1
+        assert list(iter_lines(text)) == self.expected(text)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
     def test_line_break_across_a_block_edge(self, newline):

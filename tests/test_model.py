@@ -1,3 +1,4 @@
+import enum
 import math
 import re
 
@@ -193,6 +194,65 @@ class TestProfile:
 
         with pytest.raises(InvalidProfile, match="'p': multiple overrides target user_interface"):
             HardwareProfile.from_mapping("p", self._full_assignments(), (speaker(1), speaker(2)))
+
+
+class OtherLevel(enum.IntEnum):
+    """Equal, value for value, to HSL's members, but not one of them."""
+
+    L0 = 0
+    L1 = 1
+    L2 = 2
+    L3 = 3
+
+
+def level_entries():
+    """HSL members, and what only equals one or is no level at all."""
+    return st.one_of(st.sampled_from(list(HSL)), st.integers(0, 3), st.booleans(), st.none(),
+                     st.sampled_from(list(OtherLevel)), st.just([1]))
+
+
+def first_bad_block(levels):
+    """The first (block, level) whose level is not an HSL member valid for the block."""
+    for block, level in zip(FunctionalBlock, levels):
+        if not (type(level) is HSL and level in valid_levels(block)):
+            return block, level
+    return None
+
+
+def ui_override(block, grams=1.0):
+    return ComponentOverride(block, OverrideKind.MASS_SCALED, grams, "g", "ndfeb_speaker_per_kg")
+
+
+class TestProfileLevelRule:
+    # Every level is drawn from HSL (security at hsl2 or hsl3 is refused), then
+    # up to three are replaced by drawn entries of any kind.
+    @given(st.lists(st.sampled_from(list(HSL)), min_size=12, max_size=12),
+           st.dictionaries(st.integers(0, 11), level_entries(), max_size=3))
+    def test_accepts_iff_each_level_is_a_valid_hsl_member_property(self, base, replaced):
+        levels = tuple(replaced.get(position, level) for position, level in enumerate(base))
+        bad = first_bad_block(levels)
+        if bad is None:
+            assert HardwareProfile("p", levels).levels is levels
+            return
+        block, level = bad
+        shown = level.key if isinstance(level, HSL) else repr(level)
+        with pytest.raises(InvalidProfile) as info:
+            HardwareProfile("p", levels)
+        assert str(info.value) == f"profile 'p': {block.key} cannot be assigned {shown}"
+
+    @given(st.lists(st.sampled_from([FunctionalBlock.ACTUATORS, FunctionalBlock.PCB,
+                                     FunctionalBlock.USER_INTERFACE]), max_size=4),
+           st.sampled_from([tuple, list]))
+    def test_accepts_iff_overrides_target_distinct_blocks_property(self, blocks, container):
+        overrides = container(ui_override(block, grams) for grams, block in enumerate(blocks))
+        levels = HardwareProfile.uniform("p", HSL.HSL1).levels
+        repeated = next((b for i, b in enumerate(blocks) if b in blocks[:i]), None)
+        if repeated is None:
+            assert HardwareProfile("p", levels, overrides).overrides == tuple(overrides)
+            return
+        with pytest.raises(InvalidProfile) as info:
+            HardwareProfile("p", levels, overrides)
+        assert str(info.value) == f"profile 'p': multiple overrides target {repeated.key}"
 
 
 def test_triple_sum_empty_is_zero():

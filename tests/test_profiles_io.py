@@ -1,6 +1,7 @@
 import cProfile
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -221,6 +222,60 @@ def enum_frames(document, table, units):
         for fmt in REPORT_FORMATS:
             render_reports(batch, fmt)
     return enum_files(work)
+
+
+def seeded_document(count, seed=0):
+    """`count` table-only profiles, p0 to p<count - 1>, each block at a level
+    drawn from a generator seeded with `seed`; laid out as the benchmark's
+    bulk input is, with a blank line before each section."""
+    rng = random.Random(seed)
+    sections = ("".join([f"\n[p{index}]\n", *(f"{block.key} = {rng.choice(valid_levels(block)).key}\n"
+                                             for block in FunctionalBlock)])
+                for index in range(count))
+    return "# seeded\nformat_version = 1\n" + "".join(sections)
+
+
+#: cProfile calls per profile on the `estimate` hot path below, 87.2 on
+#: CPython 3.10 to 3.12, plus about 10%.
+CALLS_PER_PROFILE_BUDGET = 96
+
+
+class TestHotPath:
+    def test_calls_per_profile_within_budget(self, table, units):
+        # A count, not a time: parse, evaluate, then render csv and jsonl.
+        count = 2000
+        text = seeded_document(count)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        document, _ = validate_profiles(text)
+        batch = batch_evaluate(document.profiles, table, units)
+        for fmt in ("csv", "jsonl"):
+            render_reports(batch, fmt)
+        profiler.disable()
+        assert len(batch) == count
+        # Counted per code object: pstats keys by (file, line, name) and so
+        # keeps one of the dataclass `__init__`s, which all read <string>:2.
+        per_profile = sum(entry.callcount for entry in profiler.getstats()) / count
+        assert per_profile <= CALLS_PER_PROFILE_BUDGET, (
+            f"{per_profile:.1f} calls per profile, budget {CALLS_PER_PROFILE_BUDGET}")
+
+    def test_crlf_parse_peak_is_about_the_lf_peak(self):
+        # Line ends are made LF a block at a time, so CRLF text is never
+        # copied whole while it is parsed.
+        count = 10_000
+        text = seeded_document(count)
+        peaks = []
+        for copy in (text, text.replace("\n", "\r\n")):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                document, diagnostics = validate_profiles(copy)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(document.profiles) == count and not diagnostics
+            del document
+        assert peaks[1] <= 1.1 * peaks[0], f"CRLF peak {peaks[1]} B, LF peak {peaks[0]} B"
 
 
 def single_override_document(override):
