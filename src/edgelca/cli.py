@@ -17,22 +17,20 @@ from . import defaults
 from .errors import EdgeLcaError
 from .estimator import batch_evaluate
 from .factors import read_text
-from .profiles_io import REPORT_FORMATS, load_profiles, render_reports, validate_profiles
+from .profiles_io import (REPORT_FORMATS, load_profiles, render_reports, validate_profiles,
+                          warning_lines)
 from .projection import (
     LAST_YEAR,
     PARIS_START_RANGE,
-    TrendKind,
+    PROJECTION_SOURCES,
     cumulative_to_annual,
+    driving_trends,
     paris_pathway,
     pathway_csv,
     project,
     projection_csv,
 )
 from .sensitivity import level_series_csv, scan_extrema
-
-#: Sources whose trends drive scenario projections.
-PROJECTION_SOURCES = ("CISCO", "Statista")
-
 
 #: Reports rendered and written at a time, so no string of a whole output is made.
 REPORT_SLICE = 1000
@@ -97,10 +95,8 @@ def estimate(profile_file, factors, units, fmt, out):
     # At least one slice, so an empty batch still gets its csv header.
     _emit((render_reports(reports[start:start + REPORT_SLICE], fmt, continued=start > 0)
            for start in range(0, len(reports) or 1, REPORT_SLICE)), out)
-    if fmt != "table":  # the table carries its warnings; csv and jsonl rows cannot
-        for report in reports:
-            for warning in report.warnings:
-                click.echo(f"warning: profile {report.profile.name!r}: {warning}", err=True)
+    for line in warning_lines(reports, fmt):
+        click.echo(line, err=True)
 
 
 @main.command()
@@ -124,18 +120,7 @@ def validate(profile_file):
 def sensitivity(factors, series_out, out):
     """Extremal profiles and spread ratio over the whole profile space."""
     table = defaults.default_factor_table(factors)
-    result = scan_extrema(table)
-    lines = [
-        f"max sum-of-up: {result.max_up_sum:.2f} kgCO2-eq",
-        f"min sum-of-low: {result.min_low_sum:.2f} kgCO2-eq",
-        f"spread ratio (exact): {result.ratio_exact:.1f}x",
-        f"spread ratio (published rounding): {result.ratio_published_rounding:.1f}x",
-        "max profile: " + ", ".join(
-            f"{b.key}={lv.key}" for b, lv in result.max_profile.assignments.items()),
-        "min profile: " + ", ".join(
-            f"{b.key}={lv.key}" for b, lv in result.min_profile.assignments.items()),
-    ]
-    _emit(["\n".join(lines) + "\n"], out)
+    _emit([f"{scan_extrema(table)}\n"], out)
     if series_out is not None:
         _emit([level_series_csv(table)], series_out)
 
@@ -162,20 +147,12 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
                                      param_hint="--scenario")
     trends = defaults.default_trends(trends_file)
     wanted = [source] if source else list(PROJECTION_SOURCES)
-    wanted_lower = [w.lower() for w in wanted]
-    annuals = []
-    for trend in trends:
-        if trend.kind is TrendKind.CUMULATIVE and trend.source.lower() in wanted_lower:
-            annuals.append(cumulative_to_annual(trend))
+    annuals = [cumulative_to_annual(trend) for trend in driving_trends(trends, wanted)]
     if not annuals:
         raise click.BadParameter(f"no cumulative trend for {wanted}", param_hint="--trend")
-    series = []
-    for scenario in scenarios:
-        scenario = replace(scenario, alpha=scenario.alpha if alpha is None else alpha,
-                           psi=scenario.psi if psi is None else psi)
-        for annual in annuals:
-            series.append(project(scenario, annual))
-    _emit([projection_csv(series)], out)
+    scenarios = [replace(s, alpha=s.alpha if alpha is None else alpha,
+                         psi=s.psi if psi is None else psi) for s in scenarios]
+    _emit([projection_csv([project(s, annual) for s in scenarios for annual in annuals])], out)
 
 
 @main.command()

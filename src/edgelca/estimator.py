@@ -62,7 +62,7 @@ def memory_area(capacity: float, unit: str, kind: str, units: UnitFactorRegistry
     kind = kind.lower()
     if kind not in ("dram", "flash"):
         raise EdgeLcaError(f"memory kind must be 'dram' or 'flash', got {kind!r}")
-    density = units.get(f"{kind}_density").scalar()  # Gb/mm2
+    density = units.get(f"{kind}_density").triple.typical  # Gb/mm2
     return capacity_in_gb(capacity, unit) / density
 
 
@@ -74,8 +74,8 @@ def solder_mass(total_ic_area: float, units: UnitFactorRegistry) -> float:
     """
     if total_ic_area < 0:
         raise EdgeLcaError(f"IC area must be nonnegative, got {total_ic_area}")
-    thickness_mm = units.get("solder_thickness").scalar()
-    density = units.get("solder_density").scalar()
+    thickness_mm = units.get("solder_thickness").triple.typical
+    density = units.get("solder_density").triple.typical
     return total_ic_area * thickness_mm * density
 
 

@@ -146,12 +146,6 @@ class UnitFactor:
         else:
             object.__setattr__(self, "triple", EmissionTriple(value, value, value))
 
-    def scalar(self) -> float:
-        """Scalar view; triple-valued entries expose their typical value."""
-        if isinstance(self.value, EmissionTriple):
-            return self.value.typical
-        return self.value
-
 
 @dataclass(frozen=True)
 class UnitFactorRegistry:
@@ -171,8 +165,10 @@ class UnitFactorRegistry:
         return self.entries[key]
 
 
+#: The characters at which `iter_lines` ends a line.
+LINE_BREAKS = frozenset("\r\n")
 #: The characters that make a csv field need quotes.
-_CSV_QUOTED = frozenset(',"\r\n')
+_CSV_QUOTED = LINE_BREAKS | frozenset(',"')
 
 
 def csv_field(text: str) -> str:
@@ -223,11 +219,6 @@ def _block_lines(text: str) -> Iterator[List[str]]:
         if cut < 0:
             return
         start = cut + 1
-
-
-def split_lines(text: str) -> List[str]:
-    """The lines of `text`, as `iter_lines` cuts them."""
-    return list(iter_lines(text))
 
 
 def parse_number(text: str, name: str, column: int,
@@ -393,7 +384,7 @@ def serialize_unit_registry(registry: UnitFactorRegistry) -> str:
     for key in sorted(registry.entries):
         e = registry.entries[key]
         for what, text in (("key", key), ("note", e.note)):
-            if (text != text.strip() or len(split_lines(text)) > 1
+            if (text != text.strip() or not LINE_BREAKS.isdisjoint(text)
                     or what == "key" and (not key or key.startswith("#"))):
                 raise EdgeLcaError(f"{what} {text!r} cannot be written to a unit-registry file")
         if isinstance(e.value, EmissionTriple):

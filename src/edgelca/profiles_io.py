@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
-from .factors import csv_field, iter_lines, read_text, split_lines
+from .factors import LINE_BREAKS, csv_field, iter_lines, read_text
 from .model import (
     BLOCKS,
     ComponentOverride,
@@ -185,17 +185,19 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
             continue
         # A level line that can assign its block does so here; under a rejected
         # header it writes levels that are never read. A line in normal form
-        # is its own key.
+        # is its own key, and no key starts with `[` or `override.`.
         cell = cell_of(raw)
-        if cell is None and raw[0] != "[":
-            cell = cell_of(" ".join(raw.split("#", 1)[0].lower().split()))
+        line = raw
+        if cell is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line[0] != "[" and not line.startswith("override."):
+                cell = cell_of(" ".join(line.lower().split()))
         if cell is not None and not lines[cell[0]]:
             position, level = cell
             levels[position] = level
             lines[position] = line_no
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
             continue
         m = _SECTION_RE.match(line) if line[0] == "[" else None
         if m:
@@ -261,7 +263,7 @@ def load_profiles(path) -> ProfileDocument:
 def _carried(text: str, what: str, fits: bool) -> None:
     """Raise InvalidProfile unless one `.iotprof` line can hold `text`
     unchanged: `fits`, no `#` and no line break."""
-    if not fits or "#" in text or len(split_lines(text)) > 1:
+    if not fits or "#" in text or not LINE_BREAKS.isdisjoint(text):
         raise InvalidProfile(f"{what} {text!r} cannot be written to a profile file")
 
 
@@ -400,3 +402,13 @@ def _render_table(reports: Sequence[EvaluationReport], continued: bool) -> str:
         *("\n".join([f"profile: {report.estimate.profile_name}", _TABLE_HEADER, *rows,
                      *(f"warning: {warning}" for warning in report.warnings), ""])
           for report, rows in _rows(reports, _table_row))])
+
+
+def warning_lines(reports: Sequence[EvaluationReport], format: str) -> List[str]:
+    """The stderr lines, `warning: profile '<name>': <text>`, of a batch's
+    override warnings in report order. None for `table`, which prints each
+    warning under its profile; csv and jsonl rows have no place for one."""
+    if format == "table":
+        return []
+    return [f"warning: profile {report.profile.name!r}: {warning}"
+            for report in reports for warning in report.warnings]

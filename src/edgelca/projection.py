@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .errors import (
     EdgeLcaError,
@@ -41,6 +41,9 @@ PARIS_START_YEAR = 2020
 PARIS_ANNUAL_REDUCTION = 0.076
 #: Annual ICT-production footprint range in the pathway's start year, MtCO2-eq.
 PARIS_START_RANGE = (281.0, 543.0)
+
+#: Sources whose trends drive scenario projections.
+PROJECTION_SOURCES = ("CISCO", "Statista")
 
 
 class TrendKind(Enum):
@@ -116,6 +119,14 @@ def cumulative_to_annual(trend: DeploymentTrend) -> DeploymentTrend:
         points=points,
         extrapolated_years=extrapolated,
     )
+
+
+def driving_trends(trends: Iterable[DeploymentTrend],
+                   sources: Iterable[str] = PROJECTION_SOURCES) -> List[DeploymentTrend]:
+    """The cumulative trends whose source is one of `sources`, matched
+    case-insensitively, in input order."""
+    wanted = {source.lower() for source in sources}
+    return [t for t in trends if t.kind is TrendKind.CUMULATIVE and t.source.lower() in wanted]
 
 
 def extrapolate(trend: DeploymentTrend, horizon: int) -> DeploymentTrend:

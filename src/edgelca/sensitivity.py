@@ -46,6 +46,19 @@ class SensitivityResult:
     ratio_exact: float
     ratio_published_rounding: float
 
+    def __str__(self):
+        """The six lines of the `sensitivity` report, with no trailing newline."""
+        def levels(profile):
+            return ", ".join(f"{b.key}={lv.key}" for b, lv in zip(BLOCKS, profile.levels))
+
+        return "\n".join([
+            f"max sum-of-up: {self.max_up_sum:.2f} kgCO2-eq",
+            f"min sum-of-low: {self.min_low_sum:.2f} kgCO2-eq",
+            f"spread ratio (exact): {self.ratio_exact:.1f}x",
+            f"spread ratio (published rounding): {self.ratio_published_rounding:.1f}x",
+            f"max profile: {levels(self.max_profile)}",
+            f"min profile: {levels(self.min_profile)}"])
+
 
 #: Digits enough to quantize any finite float: its integer part has at most 309.
 _QUANTIZE_CONTEXT = Context(prec=400)
@@ -57,7 +70,8 @@ def _round_half_up(value: float, decimals: int) -> float:
 
 
 def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
-    """Per-block greedy selection of the extremal profiles.
+    """Per-block greedy selection of the extremal profiles. Where levels
+    tie, each block keeps the first, lowest one.
 
     Raises ZeroTotal when the minimum sum-of-low rounds to 0.0 at one
     decimal, since neither spread ratio is then defined, and EdgeLcaError
@@ -79,16 +93,8 @@ def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:
     if not (math.isfinite(ratio_exact) and math.isfinite(ratio_published)):
         raise EdgeLcaError(f"spread ratio overflows: maximum sum-of-up {max_up:g} kgCO2-eq "
                            f"over minimum sum-of-low {min_low:g} kgCO2-eq")
-    return SensitivityResult(
-        min_profile=min_profile,
-        max_profile=max_profile,
-        min_total=min_total,
-        max_total=max_total,
-        min_low_sum=min_low,
-        max_up_sum=max_up,
-        ratio_exact=ratio_exact,
-        ratio_published_rounding=ratio_published,
-    )
+    return SensitivityResult(min_profile, max_profile, min_total, max_total, min_low, max_up,
+                             ratio_exact, ratio_published)
 
 
 def block_contributions(estimate: FootprintEstimate) -> Dict[FunctionalBlock, float]:

@@ -38,6 +38,7 @@ from edgelca.profiles_io import (
     parse_profiles,
     render_reports,
     validate_profiles,
+    warning_lines,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,6 +195,20 @@ class TestEstimate:
         else:
             assert result.stderr == "".join(
                 f"warning: profile '{name}': {warning}\n" for name, warning in warnings)
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_stderr_is_the_warning_lines(self, runner, tmp_path, table, units, fmt):
+        text = "format_version = 1\n" + "".join(
+            f"[{name}]\n" + "".join(f"{b.key} = hsl0\n" for b in FunctionalBlock)
+            + "override.actuators = unit_count:1u@alkaline_aa_per_unit\n"
+            for name in ["plain", "it's", 'say "hi"'])
+        path = tmp_path / "warned.iotprof"
+        path.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["estimate", str(path), "--format", fmt])
+        assert result.exit_code == 0
+        lines = warning_lines(batch_evaluate(parse_profiles(text).profiles, table, units), fmt)
+        assert len(lines) == (0 if fmt == "table" else 3)
+        assert result.stderr == "".join(line + "\n" for line in lines)
 
     def test_each_render_gets_at_most_one_slice(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "many.iotprof"

@@ -24,7 +24,6 @@ from edgelca.factors import (
     parse_unit_registry,
     serialize_factor_table,
     serialize_unit_registry,
-    split_lines,
 )
 from edgelca.projection import parse_scenarios, parse_trends
 from edgelca.model import CELLS, EmissionTriple, FunctionalBlock, HSL, valid_levels
@@ -233,18 +232,18 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 class TestUnitRegistry:
     def test_shipped_builtins(self, units):
-        assert units.get("li_ion_per_kg").scalar() == 25
-        assert units.get("ndfeb_speaker_per_kg").scalar() == 57.3
-        assert units.get("alkaline_aaa_per_unit").scalar() == 0.09
-        assert units.get("alkaline_aa_per_unit").scalar() == 0.189
-        assert units.get("dram_density").scalar() == 0.13
-        assert units.get("flash_density").scalar() == 1.28
-        assert units.get("solder_thickness").scalar() == 0.1
-        assert units.get("solder_density").scalar() == 7.38
+        assert units.get("li_ion_per_kg").triple.typical == 25
+        assert units.get("ndfeb_speaker_per_kg").triple.typical == 57.3
+        assert units.get("alkaline_aaa_per_unit").triple.typical == 0.09
+        assert units.get("alkaline_aa_per_unit").triple.typical == 0.189
+        assert units.get("dram_density").triple.typical == 0.13
+        assert units.get("flash_density").triple.typical == 1.28
+        assert units.get("solder_thickness").triple.typical == 0.1
+        assert units.get("solder_density").triple.typical == 7.38
 
     def test_shipped_alternatives_present(self, units):
-        assert units.get("li_ion_per_kg_alt_29_17").scalar() == 29.17
-        assert units.get("li_ion_per_kg_alt_29_62").scalar() == 29.62
+        assert units.get("li_ion_per_kg_alt_29_17").triple.typical == 29.17
+        assert units.get("li_ion_per_kg_alt_29_62").triple.typical == 29.62
 
     def test_missing_builtin(self):
         text = "\n".join(
@@ -275,7 +274,7 @@ class TestUnitRegistry:
     def test_triple_valued_entry(self):
         reg = parse_unit_registry(MINIMAL_UNITS + "ranged,1/2/3,kgCO2-eq/kg,\n")
         assert reg.get("ranged").triple == EmissionTriple(1, 2, 3)
-        assert reg.get("ranged").scalar() == 2
+        assert reg.get("ranged").triple.typical == 2
 
     def test_scalar_entry_triple_repeats_its_value(self):
         reg = parse_unit_registry(MINIMAL_UNITS + "my_factor,3.5,kgCO2-eq/kg,custom\n")
@@ -376,7 +375,7 @@ BAD_NUMBER_ERRORS = {
 
 def bundled_rows(kind):
     """The lines of bundled `kind`.csv and the 1-based numbers of its data rows."""
-    lines = split_lines(defaults._read(f"{kind}.csv"))
+    lines = list(iter_lines(defaults._read(f"{kind}.csv")))
     start = lines.index(DATA_PARSERS[kind][1]) + 1
     return lines, [n for n, line in enumerate(lines[start:], start=start + 1)
                    if line.strip() and not line.startswith("#")]
@@ -475,6 +474,10 @@ class TestIterLines:
         text = "ab\rcd\r\ref\r" * 3
         assert len(list(factors._block_lines(text))) == 1
         assert list(iter_lines(text)) == self.expected(text)
+
+    @given(text=st.text(alphabet=st.sampled_from("ab\n\r" + "".join(NOT_LINE_BREAKS)), max_size=20))
+    def test_more_than_one_line_iff_text_holds_a_line_break_property(self, text):
+        assert (len(list(iter_lines(text))) > 1) == (not factors.LINE_BREAKS.isdisjoint(text))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
     def test_line_break_across_a_block_edge(self, newline):

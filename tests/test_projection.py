@@ -14,14 +14,17 @@ from edgelca.errors import (
     NotCumulative,
     TooFewPoints,
 )
+from edgelca import defaults
 from edgelca.model import EmissionTriple
 from edgelca.projection import (
     DEFAULT_D_COMPLEX,
     DEFAULT_D_SIMPLE,
+    PROJECTION_SOURCES,
     DeploymentTrend,
     Scenario,
     TrendKind,
     cumulative_to_annual,
+    driving_trends,
     extrapolate,
     paris_pathway,
     parse_scenarios,
@@ -174,6 +177,37 @@ class TestScenario:
     def test_blend_value(self, scenarios):
         blend = scenarios["sc1"].per_device()
         assert blend.as_tuple() == pytest.approx((1.932, 3.911, 5.938), abs=1e-12)
+
+
+@st.composite
+def mixed_case(draw, words):
+    """One of `words`, each letter's case drawn."""
+    word = draw(st.sampled_from(words))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if u else c.lower() for c, u in zip(word, upper))
+
+
+#: Trend sources: the projection sources and others, some with a shared prefix.
+SOURCE_WORDS = ["CISCO", "Statista", "Gartner", "GreenIT", "CISCO2", "Stat", "İsta"]
+
+
+class TestDrivingTrends:
+    def test_bundled_trends(self):
+        driving = driving_trends(defaults.default_trends())
+        assert [(t.source, t.kind) for t in driving] == [
+            ("CISCO", TrendKind.CUMULATIVE), ("Statista", TrendKind.CUMULATIVE)]
+
+    @given(st.lists(st.tuples(mixed_case(SOURCE_WORDS), st.sampled_from(TrendKind)), max_size=8),
+           st.none() | st.lists(mixed_case(SOURCE_WORDS), max_size=3))
+    def test_equals_a_naive_filter_property(self, drawn, sources):
+        trends = [DeploymentTrend(source, kind, {2018: 1.0, 2019: 2.0}) for source, kind in drawn]
+        if sources is None:
+            got, sources = driving_trends(trends), PROJECTION_SOURCES
+        else:
+            got = driving_trends(trends, sources)
+        expected = [t for t in trends if t.kind is TrendKind.CUMULATIVE
+                    and any(t.source.lower() == s.lower() for s in sources)]
+        assert list(map(id, got)) == list(map(id, expected))
 
 
 class TestProject:

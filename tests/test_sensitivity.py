@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from edgelca.cli import main
 from edgelca.errors import EdgeLcaError, ZeroTotal
@@ -16,6 +16,7 @@ from edgelca.model import (
     FootprintEstimate,
     FunctionalBlock,
     HSL,
+    valid_levels,
 )
 from edgelca.sensitivity import (
     block_contributions,
@@ -39,6 +40,24 @@ def factor_tables(draw):
         elif lows == "milli" and low > 0.0:
             low = min(0.001, typical)
         cells[cell] = EmissionTriple(low, typical, up)
+    return EmissionFactorTable(cells)
+
+
+@st.composite
+def tied_tables(draw):
+    """Tables whose cells take few values, so levels often tie."""
+    value = st.sampled_from([0.5, 1.0, 2.0])
+    return EmissionFactorTable({cell: EmissionTriple(*sorted(draw(st.tuples(value, value, value))))
+                                for cell in CELLS})
+
+
+def casing_only_lows(table):
+    """`table` with every low 0 except casing's, each 0.05 (typical and up
+    raised to it where lower): the minimum sum-of-low is exactly 0.05."""
+    cells = {}
+    for (block, level), t in table.cells.items():
+        low = 0.05 if block is FunctionalBlock.CASING else 0.0
+        cells[(block, level)] = EmissionTriple(low, max(t.typical, low), max(t.up, low))
     return EmissionFactorTable(cells)
 
 
@@ -128,6 +147,54 @@ class TestExtrema:
         assert result.max_up_sum == pytest.approx(max_up, abs=1e-9)
         assert {b: result.min_profile.level_of(b) for b in FunctionalBlock} == min_assign
         assert {b: result.max_profile.level_of(b) for b in FunctionalBlock} == max_assign
+
+
+class TestPublishedRounding:
+    # 0.05 is a tie at one decimal: half-up gives 0.1, half-even would give
+    # 0.0 and so ZeroTotal.
+    def test_a_minimum_of_0_05_rounds_up(self, table):
+        result = scan_extrema(casing_only_lows(table))
+        assert result.min_low_sum == 0.05
+        assert result.max_up_sum == scan_extrema(table).max_up_sum
+        assert result.ratio_published_rounding == result.max_up_sum / 0.1
+        assert f"{result.ratio_published_rounding:.1f}" == "474.1"
+
+    def test_a_minimum_of_0_05_through_the_cli(self, table, tmp_path):
+        path = tmp_path / "factors.csv"
+        path.write_text(serialize_factor_table(casing_only_lows(table)), encoding="utf-8")
+        result = CliRunner().invoke(main, ["sensitivity", "--factors", str(path)])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert "min sum-of-low: 0.05 kgCO2-eq\n" in result.stdout
+        assert "spread ratio (published rounding): 474.1x\n" in result.stdout
+
+
+class TestReport:
+    def test_six_lines_without_a_trailing_newline(self, table):
+        lines = str(scan_extrema(table)).split("\n")
+        assert [line.split(":")[0] for line in lines] == [
+            "max sum-of-up", "min sum-of-low", "spread ratio (exact)",
+            "spread ratio (published rounding)", "max profile", "min profile"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(factor_tables(), tied_tables()))
+    def test_profiles_attain_their_extrema_and_ties_keep_the_lowest_level_property(self, table):
+        try:
+            result = scan_extrema(table)
+        except EdgeLcaError:
+            assume(False)
+        lines = str(result).split("\n")
+        for which, printed, component, pick in [("max", lines[0], "up", max),
+                                                ("min", lines[1], "low", min)]:
+            line = next(line for line in lines if line.startswith(f"{which} profile: "))
+            pairs = [pair.split("=") for pair in line[len(f"{which} profile: "):].split(", ")]
+            assert [block for block, _ in pairs] == [b.key for b in BLOCKS]
+            total = 0.0
+            for block, (_, level) in zip(BLOCKS, pairs):
+                values = [getattr(table.lookup(block, lv), component) for lv in valid_levels(block)]
+                first = valid_levels(block)[values.index(pick(values))]
+                assert level == first.key
+                total += getattr(table.lookup(block, first), component)
+            assert printed.split(": ")[1] == f"{total:.2f} kgCO2-eq"
 
 
 class TestContributions:
