@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error (bad data, failed validation),
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,14 +55,22 @@ def _emit(pieces: Iterable[str], out: Path | None):
 
 class _Commands(click.Group):
     """The command group: a domain error in any command prints one `error:`
-    line on stderr and exits 1."""
+    line on stderr and exits 1. Cycle collection pauses while a command runs."""
 
     def invoke(self, ctx):
+        # Every record a command builds is acyclic, so reference counting frees
+        # it; a collection could only rescan the growing batch. The collector
+        # is turned back on only if it was on when the command started.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except EdgeLcaError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 #: A file the command reads; a missing one is a usage error (exit 2).

@@ -20,15 +20,16 @@ from .errors import (
 )
 from .factors import EmissionFactorTable, UnitFactor, UnitFactorRegistry
 from .model import (
-    BLOCKS,
     ComponentOverride,
     EmissionTriple,
     FootprintEstimate,
     HardwareProfile,
     OverrideKind,
+    _BLOCK_OF,
+    _POSITION,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationReport:
     """Estimate plus the overrides that produced it and any warnings."""
 
@@ -118,9 +119,12 @@ def evaluate_profile(
     if not profile.overrides:
         return EvaluationReport(profile, FootprintEstimate(
             profile.name, tuple(map(getitem, table.rows, profile.levels))))
-    triples = [row[level] for row, level in zip(table.rows, profile.levels)]
+    triples = list(map(getitem, table.rows, profile.levels))
     warnings: List[str] = []
-    for position, override in sorted((BLOCKS.index(ov.block), ov) for ov in profile.overrides):
+    # Blocks are unique, so the sort never compares two overrides.
+    overrides = profile.overrides
+    positions = map(_POSITION.__getitem__, map(_BLOCK_OF, overrides))
+    for position, override in sorted(zip(positions, overrides)):
         level = profile.levels[position]
         if level == 0 and triples[position].up == 0.0:
             key = override.block.key

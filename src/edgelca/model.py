@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Mapping, Tuple
 
 from .errors import InvalidProfile, InvalidTriple
@@ -47,6 +48,8 @@ class FunctionalBlock(enum.Enum):
 #: Profiles and estimates store one entry per block, in this order.
 BLOCKS = tuple(FunctionalBlock)
 _BLOCK_BY_KEY = {block.key: block for block in BLOCKS}
+#: Each block's position in `BLOCKS`.
+_POSITION = {block: position for position, block in enumerate(BLOCKS)}
 
 
 class HSL(enum.IntEnum):
@@ -86,7 +89,7 @@ def valid_levels(block: FunctionalBlock) -> Tuple[HSL, ...]:
     return tuple(lv for b, lv in CELLS if b is block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmissionTriple:
     """(low, typical, up) carbon footprint in kgCO2-eq.
 
@@ -160,9 +163,10 @@ class OverrideKind(enum.Enum):
 
 
 _KIND_BY_KEY = {kind.key: kind for kind in OverrideKind}
+_BLOCK_OF = attrgetter("block")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentOverride:
     """Replaces a block's table triple with a quantity-scaled factor.
 
@@ -190,7 +194,7 @@ class ComponentOverride:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardwareProfile:
     """Assignment of exactly one level to each of the 12 functional blocks,
     stored as `levels`, a tuple in `BLOCKS` order; `from_mapping` builds one
@@ -221,7 +225,8 @@ class HardwareProfile:
                     raise InvalidProfile(
                         f"profile {name!r}: {block.key} cannot be assigned {shown}")
         overrides = tuple(self.overrides)
-        if len(overrides) > 1 and len({ov.block for ov in overrides}) < len(overrides):
+        # One C pass finds a duplicate; the loop only names it.
+        if len(overrides) > 1 and len(set(map(_BLOCK_OF, overrides))) < len(overrides):
             overridden = set()
             for ov in overrides:
                 if ov.block in overridden:
@@ -258,7 +263,7 @@ class HardwareProfile:
         return cls(name, tuple(min(level, valid_levels(b)[-1]) for b in BLOCKS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FootprintEstimate:
     """Per-block emission triples, one EmissionTriple per block in `BLOCKS`
     order, plus their componentwise `total`, computed by `triple_sum`."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ from .model import (
     HSL,
     HardwareProfile,
     _BLOCK_BY_KEY,
+    _BLOCK_OF,
     _HSL_BY_KEY,
     _KIND_BY_KEY,
     _VALID_LEVELS,
@@ -50,7 +52,7 @@ DUPLICATE_PROFILE_NAME = "duplicate-profile-name"
 UNSUPPORTED_VERSION = "unsupported-version"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     code: str
     message: str
@@ -73,6 +75,13 @@ _OVERRIDE_RE = re.compile(
     r"^(?P<kind>[A-Za-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     r"(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
 )
+#: The groups of an override line exactly as `render_profiles` writes it:
+#: lower-case block and kind, single spaces, no comment and no `#` in the
+#: factor key. Such a line is matched once; every other spelling, and every
+#: diagnostic, is left to `_section_entry`.
+_NORMAL_OVERRIDE = re.compile(
+    r"override\.([a-z_]+) = ([a-z_]+):([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"([A-Za-z0-9]+)@([^\s#]+)").fullmatch
 
 #: Each defined cell's level line, lower-cased and with each whitespace run
 #: made one space, to (position, level). Block and level keys hold no space,
@@ -152,6 +161,9 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
                       line_no, _value_column(raw, value))
 
 
+_OVERRIDE_OF = itemgetter(0)  # of a `_Section.overrides` value
+
+
 def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
            profiles: List[HardwareProfile]) -> None:
     """Report the blocks a named section misses, or keep its profile if it is clean."""
@@ -163,7 +175,7 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
             MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
             section.line))
     elif not section.bad:
-        overrides = tuple(ov for ov, _ in section.overrides.values()) if section.overrides else ()
+        overrides = tuple(map(_OVERRIDE_OF, section.overrides.values()))
         profiles.append(HardwareProfile(section.name, tuple(section.levels), overrides))
 
 
@@ -179,7 +191,8 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
     header_lines: Dict[str, int] = {}
     section: Optional[_Section] = None  # None before the first header
     levels, lines = None, _NO_SECTION_LINES  # the open section's
-    cell_of = _CELL_LINES.get
+    overrides = None  # the open section's, if it is named
+    cell_of, block_of, kind_of = _CELL_LINES.get, _BLOCK_BY_KEY.get, _KIND_BY_KEY.get
     for line_no, raw in enumerate(iter_lines(text), start=1):
         if not raw:
             continue
@@ -189,6 +202,21 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
         cell = cell_of(raw)
         line = raw
         if cell is None:
+            # A new override of a named section, in normal form, is stored
+            # here; any miss falls through to the general path.
+            m = _NORMAL_OVERRIDE(raw) if overrides is not None else None
+            if m is not None:
+                block_key, kind_key, quantity, unit, factor_key = m.groups()
+                block, kind = block_of(block_key), kind_of(kind_key)
+                if block is not None and kind is not None and block not in overrides:
+                    try:
+                        override = ComponentOverride(block, kind, float(quantity), unit,
+                                                     factor_key)
+                    except InvalidProfile:
+                        pass
+                    else:
+                        overrides[block] = (override, line_no)
+                        continue
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -215,6 +243,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
                 header_lines[name] = line_no
             section = _Section(name, line_no)
             levels, lines = section.levels, section.lines
+            overrides = section.overrides if name is not None else None
             continue
         key, equals, value = line.partition("=")
         if not (equals and key):
@@ -355,7 +384,7 @@ def _rows(reports: Sequence[EvaluationReport], row):
     memo = [[None] * len(_HSL_BY_KEY) for _ in BLOCKS]
     for report in reports:
         overrides = report.applied_overrides
-        overridden = {ov.block for ov in overrides} if overrides else ()
+        overridden = set(map(_BLOCK_OF, overrides)) if overrides else ()
         rows = []
         for block, slots, level, triple in zip(
                 BLOCKS, memo, report.profile.levels, report.estimate.triples):
@@ -400,7 +429,7 @@ def _render_table(reports: Sequence[EvaluationReport], continued: bool) -> str:
     return "\n".join([
         *([""] if continued and reports else []),
         *("\n".join([f"profile: {report.estimate.profile_name}", _TABLE_HEADER, *rows,
-                     *(f"warning: {warning}" for warning in report.warnings), ""])
+                     *map("warning: ".__add__, report.warnings), ""])
           for report, rows in _rows(reports, _table_row))])
 
 

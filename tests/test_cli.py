@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import re
@@ -931,3 +932,81 @@ class TestCommandContract:
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
+
+
+def override_document(count):
+    """`many_profiles(count)` with two overrides per profile; the actuators
+    cell of every fourth profile is zero, so its override warns."""
+    return re.sub(r"^\[p\d+\]\n", lambda header: header[0]
+                  + "override.power_supply = mass_scaled:48g@li_ion_per_kg\n"
+                  + "override.actuators = unit_count:2u@alkaline_aa_per_unit\n",
+                  many_profiles(count), flags=re.M)
+
+
+@pytest.fixture()
+def collector_restored():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPause:
+    """A command runs with cycle collection paused, and leaves the collector
+    as it found it."""
+
+    def test_commands_leave_no_cycles(self, tmp_path):
+        # The premise of the pause: what a command builds is freed by
+        # reference counting alone.
+        clean = tmp_path / "clean.iotprof"
+        clean.write_text(override_document(300), encoding="utf-8")
+        dirty = tmp_path / "dirty.iotprof"
+        dirty.write_text(override_document(300) + "[p7]\ncasing = hsl7\n"
+                         "override.pcb = solder_from_ic_area:12,5mm2@solder_per_kg\n",
+                         encoding="utf-8")
+        commands = [["validate", str(dirty)], ["validate", str(clean)]] + [
+            ["estimate", str(clean), "--format", fmt] for fmt in REPORT_FORMATS]
+        codes = []
+        gc.collect()
+        gc.disable()
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh), contextlib.redirect_stderr(fh):
+            for argv in commands:
+                try:
+                    main(argv, standalone_mode=False)
+                    codes.append(0)
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        assert codes == [1, 0, 0, 0, 0]
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate", str(FIXTURES / "valid.iotprof")], 0),
+        (["validate", str(FIXTURES / "syntax.iotprof")], 1),
+        (["estimate", str(FIXTURES / "missing.iotprof")], 2),
+    ], ids=["exit0", "exit1", "exit2"])
+    def test_collector_is_left_as_found(self, runner, enabled, argv, code):
+        (gc.enable if enabled else gc.disable)()
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_off_during_a_command(self, runner, monkeypatch):
+        seen = []
+
+        def traced(function):
+            def wrapper(*args, **kwargs):
+                seen.append((function.__name__, gc.isenabled()))
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("validate_profiles", "load_profiles", "batch_evaluate", "render_reports"):
+            monkeypatch.setattr(edgelca.cli, name, traced(getattr(edgelca.cli, name)))
+        gc.enable()
+        path = str(FIXTURES / "valid.iotprof")
+        assert runner.invoke(main, ["validate", path]).exit_code == 0
+        assert runner.invoke(main, ["estimate", path]).exit_code == 0
+        assert seen == [("validate_profiles", False), ("load_profiles", False),
+                        ("batch_evaluate", False), ("render_reports", False)]
+        assert gc.isenabled()

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -11,6 +15,7 @@ from edgelca.errors import (
     UnknownFactorKey,
 )
 from edgelca.estimator import (
+    EvaluationReport,
     apply_override,
     batch_evaluate,
     capacity_in_gb,
@@ -21,6 +26,7 @@ from edgelca.estimator import (
 from edgelca.model import (
     BLOCKS,
     ComponentOverride,
+    EmissionTriple,
     FootprintEstimate,
     FunctionalBlock,
     HSL,
@@ -29,6 +35,7 @@ from edgelca.model import (
     triple_sum,
     valid_levels,
 )
+from edgelca.profiles_io import Diagnostic
 
 #: Level steps where the shipped table itself steps downward, by component.
 #: Power supply drops from level 0 to 1 (a coin cell is lighter than the
@@ -151,6 +158,56 @@ class TestReplace:
         overrides = tuple(ov for ov in profile.overrides if ov.block is not block)
         with pytest.raises(InvalidProfile, match=f"multiple overrides target {block.key}"):
             replace(profile, overrides=overrides + (second, second))
+
+    @given(bundled_profiles(), st.integers(min_value=0, max_value=24).filter(lambda n: n != 12))
+    def test_replace_refuses_an_estimate_of_the_wrong_length(self, table, units, profile,
+                                                             length):
+        estimate = evaluate_profile(profile, table, units).estimate
+        with pytest.raises(InvalidProfile, match="must cover all 12 blocks"):
+            replace(estimate, triples=(estimate.triples * 2)[:length])
+
+
+#: The records built once per input item; each is a frozen, slotted dataclass.
+SLOTTED_RECORDS = (EmissionTriple, ComponentOverride, HardwareProfile, FootprintEstimate,
+                   EvaluationReport, Diagnostic)
+
+
+@pytest.mark.parametrize("record_type", SLOTTED_RECORDS, ids=lambda cls: cls.__name__)
+class TestSlottedRecords:
+    @pytest.fixture()
+    def record(self, table, units, record_type):
+        override = ComponentOverride(FunctionalBlock.ACTUATORS, OverrideKind.UNIT_COUNT, 2.0,
+                                     "u", "alkaline_aa_per_unit")
+        profile = HardwareProfile("p", HardwareProfile.uniform("p", HSL.HSL0).levels,
+                                  (override,))
+        report = evaluate_profile(profile, table, units)
+        assert report.warnings  # so every field of the report is filled
+        return {EmissionTriple: report.estimate.total, ComponentOverride: override,
+                HardwareProfile: profile, FootprintEstimate: report.estimate,
+                EvaluationReport: report,
+                Diagnostic: Diagnostic("syntax", "bad line", 3, 7)}[record_type]
+
+    def test_has_no_instance_dict_and_no_weak_reference(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(record)
+
+    def test_every_field_is_frozen(self, record):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_equal(self, record, protocol):
+        copied = pickle.loads(pickle.dumps(record, protocol))
+        assert copied == record and hash(copied) == hash(record)
+        assert repr(copied) == repr(record)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copy_is_equal(self, record, copier):
+        copied = copier(record)
+        assert copied == record and hash(copied) == hash(record)
+        assert repr(copied) == repr(record)
 
 
 class TestMonotonicity:
