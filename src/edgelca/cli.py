@@ -114,9 +114,11 @@ def validate(profile_file):
     """Check PROFILE_FILE and report every diagnostic."""
     text = read_text(profile_file)
     document, diagnostics = validate_profiles(text)
-    for diag in diagnostics:
-        click.echo(f"{profile_file}:{diag}")
     if diagnostics:
+        click.echo("".join([f"{profile_file}:{diag}\n" for diag in diagnostics]), nl=False)
+        # The traceback of SystemExit keeps this frame alive, and the first
+        # collection after the command would rescan what it still holds.
+        del text, document
         sys.exit(1)
     click.echo(f"{profile_file}: OK ({len(document.profiles)} profile(s))")
 

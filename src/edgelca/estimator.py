@@ -27,6 +27,7 @@ from .model import (
     OverrideKind,
     _BLOCK_OF,
     _POSITION,
+    _built_estimate,
 )
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +116,10 @@ def evaluate_profile(
     units: UnitFactorRegistry,
 ) -> EvaluationReport:
     """Per-block triples from the table, each replaced by its block's
-    override if the profile has one, in block order."""
+    override if the profile has one, in block order. Every triple is a
+    checked `EmissionTriple`: a defined table cell or `apply_override`'s."""
     if not profile.overrides:
-        return EvaluationReport(profile, FootprintEstimate(
+        return EvaluationReport(profile, _built_estimate(
             profile.name, tuple(map(getitem, table.rows, profile.levels))))
     triples = list(map(getitem, table.rows, profile.levels))
     warnings: List[str] = []
@@ -134,7 +136,7 @@ def evaluate_profile(
             )
         triples[position] = apply_override(override, units)
 
-    estimate = FootprintEstimate(profile.name, tuple(triples))
+    estimate = _built_estimate(profile.name, tuple(triples))
     return EvaluationReport(profile=profile, estimate=estimate, warnings=tuple(warnings))
 
 

@@ -3,6 +3,19 @@ emission triples, hardware profiles and footprint estimates.
 
 Pure data, no I/O. All types are immutable after construction and can be
 shared freely between threads.
+
+Every public constructor checks its record's invariant. Two hot paths build
+records through `_built_profile` and `_built_estimate` instead, which only
+set the fields, since their values hold the invariant by construction:
+- the parser (`profiles_io._close`) builds each clean section's
+  `HardwareProfile`: its levels are a tuple of the levels its `_CELL_LINES`
+  admitted, one per block, and its overrides come from a dict keyed by
+  block, so no block is overridden twice;
+- the evaluator (`estimator.evaluate_profile`) builds each
+  `FootprintEstimate` from a tuple of 12 checked `EmissionTriple`s, one per
+  block, and still takes its `total` from `triple_sum`.
+Checking such a record again would cost more than the rest of its
+construction.
 """
 
 from __future__ import annotations
@@ -263,6 +276,21 @@ class HardwareProfile:
         return cls(name, tuple(min(level, valid_levels(b)[-1]) for b in BLOCKS))
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _built_profile(name: str, levels: Tuple[HSL, ...],
+                   overrides: Tuple[ComponentOverride, ...]) -> HardwareProfile:
+    """`HardwareProfile(name, levels, overrides)` without its checks, for
+    fields that already hold its invariant (see the module docstring)."""
+    profile = _new(HardwareProfile)
+    _set(profile, "name", name)
+    _set(profile, "levels", levels)
+    _set(profile, "overrides", overrides)
+    return profile
+
+
 @dataclass(frozen=True, slots=True)
 class FootprintEstimate:
     """Per-block emission triples, one EmissionTriple per block in `BLOCKS`
@@ -276,3 +304,14 @@ class FootprintEstimate:
         if not isinstance(self.triples, tuple) or len(self.triples) != len(BLOCKS):
             raise InvalidProfile(f"estimate for {self.profile_name!r} must cover all 12 blocks")
         object.__setattr__(self, "total", triple_sum(self.triples))
+
+
+def _built_estimate(profile_name: str,
+                    triples: Tuple[EmissionTriple, ...]) -> FootprintEstimate:
+    """`FootprintEstimate(profile_name, triples)` without its check, for a
+    tuple of one `EmissionTriple` per block (see the module docstring)."""
+    estimate = _new(FootprintEstimate)
+    _set(estimate, "profile_name", profile_name)
+    _set(estimate, "triples", triples)
+    _set(estimate, "total", triple_sum(triples))
+    return estimate

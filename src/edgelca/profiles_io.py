@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +36,7 @@ from .model import (
     _HSL_BY_KEY,
     _KIND_BY_KEY,
     _VALID_LEVELS,
+    _built_profile,
 )
 
 SUPPORTED_FORMAT_VERSION = 1
@@ -175,8 +175,10 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
             MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
             section.line))
     elif not section.bad:
+        # Each level is one `_CELL_LINES` admitted for its block, and the
+        # overrides are keyed by block, so the profile is built unchecked.
         overrides = tuple(map(_OVERRIDE_OF, section.overrides.values()))
-        profiles.append(HardwareProfile(section.name, tuple(section.levels), overrides))
+        profiles.append(_built_profile(section.name, tuple(section.levels), overrides))
 
 
 def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
@@ -204,7 +206,7 @@ def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagno
         if cell is None:
             # A new override of a named section, in normal form, is stored
             # here; any miss falls through to the general path.
-            m = _NORMAL_OVERRIDE(raw) if overrides is not None else None
+            m = _NORMAL_OVERRIDE(raw) if overrides is not None and raw[0] == "o" else None
             if m is not None:
                 block_key, kind_key, quantity, unit, factor_key = m.groups()
                 block, kind = block_of(block_key), kind_of(kind_key)
@@ -354,7 +356,7 @@ def render_reports(reports: Sequence[EvaluationReport], format: str = "table",
 
 
 def _csv_row(block: str, level: str, t: EmissionTriple) -> str:
-    return f"{block},{level},{t.low:.2f},{t.typical:.2f},{t.up:.2f}"
+    return "%s,%s,%.2f,%.2f,%.2f" % (block, level, t.low, t.typical, t.up)
 
 
 def _render_csv(reports: Sequence[EvaluationReport], continued: bool) -> str:
@@ -409,7 +411,9 @@ def _jsonl_row(block: str, level: str, t: EmissionTriple) -> str:
 def _render_jsonl(reports: Sequence[EvaluationReport]) -> str:
     # Each line equals json.dumps of the dict {profile, block, level, low,
     # typical, up} with separators (", ", ": "); json.dumps of a str is
-    # encode_basestring_ascii of it.
+    # encode_basestring_ascii of it. Imported here, so other commands skip it.
+    from json.encoder import encode_basestring_ascii
+
     chunks = _prefixed(reports, _jsonl_row,
                        lambda name: f'{{"profile": {encode_basestring_ascii(name)}, ')
     return "\n".join([*chunks, ""])
@@ -419,7 +423,7 @@ _TABLE_HEADER = f"{'block':<16}{'level':<10}{'low':>8}{'typical':>9}{'up':>8}"
 
 
 def _table_row(block: str, level: str, t: EmissionTriple) -> str:
-    return f"{block:<16}{level:<10}{t.low:>8.2f}{t.typical:>9.2f}{t.up:>8.2f}"
+    return "%-16s%-10s%8.2f%9.2f%8.2f" % (block, level, t.low, t.typical, t.up)
 
 
 def _render_table(reports: Sequence[EvaluationReport], continued: bool) -> str:

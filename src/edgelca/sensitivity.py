@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_UP
 from typing import Dict
 
 from .errors import EdgeLcaError, ZeroTotal
@@ -60,13 +59,14 @@ class SensitivityResult:
             f"min profile: {levels(self.min_profile)}"])
 
 
-#: Digits enough to quantize any finite float: its integer part has at most 309.
-_QUANTIZE_CONTEXT = Context(prec=400)
-
-
 def _round_half_up(value: float, decimals: int) -> float:
+    # Imported here, so commands that never round half-up do not load decimal.
+    from decimal import Context, Decimal, ROUND_HALF_UP
+
+    # Digits enough to quantize any finite float: its integer part has at most 309.
+    quantize_context = Context(prec=400)
     q = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(value)).quantize(q, ROUND_HALF_UP, _QUANTIZE_CONTEXT))
+    return float(Decimal(repr(value)).quantize(q, ROUND_HALF_UP, quantize_context))
 
 
 def scan_extrema(table: EmissionFactorTable) -> SensitivityResult:

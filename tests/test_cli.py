@@ -31,11 +31,13 @@ from edgelca.model import (
     ComponentOverride,
     EmissionTriple,
     FunctionalBlock,
+    HardwareProfile,
     OverrideKind,
     valid_levels,
 )
 from edgelca.profiles_io import (
     REPORT_FORMATS,
+    ProfileDocument,
     parse_profiles,
     render_reports,
     validate_profiles,
@@ -979,6 +981,27 @@ class TestCollectorPause:
                     codes.append(exc.code)
         assert codes == [1, 0, 0, 0, 0]
         assert gc.collect() == 0
+
+    def test_failed_validate_leaves_no_records_in_its_traceback(self, tmp_path, monkeypatch):
+        # SystemExit's traceback keeps each frame of the command alive, so
+        # the first collection after the command would scan what they hold.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dirty.iotprof").write_bytes((FIXTURES / "dirty.iotprof").read_bytes())
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as info:
+            main(["validate", "dirty.iotprof"], standalone_mode=False)
+        assert info.value.code == 1
+        assert stdout.getvalue() == (FIXTURES / "golden" / "validate_dirty.out").read_text(
+            encoding="utf-8")
+        held = []
+        tb = info.tb
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                if any(isinstance(item, (ProfileDocument, HardwareProfile)) for item in items):
+                    held.append((tb.tb_frame.f_code.co_name, name))
+            tb = tb.tb_next
+        assert held == []
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("argv, code", [

@@ -310,17 +310,19 @@ def seeded_document(count, seed=0):
     return "# seeded\nformat_version = 1\n" + "".join(sections)
 
 
-#: cProfile calls per profile on the `estimate` hot path below, 87.2 on
-#: CPython 3.10 to 3.12, plus about 10%.
-CALLS_PER_PROFILE_BUDGET = 96
+#: cProfile calls per profile on the `estimate` hot path below, 79.2 on
+#: CPython 3.11, plus about 10%. Checking each parsed profile and each
+#: estimate in its constructor took 89.2.
+CALLS_PER_PROFILE_BUDGET = 87
 
 OVERRIDE_VALUES = ("mass_scaled:48g@li_ion_per_kg", "unit_count:2u@alkaline_aa_per_unit",
                    "memory_capacity:512MB@dram_per_gb", "solder_from_ic_area:25mm2@solder_per_kg")
 
-#: cProfile calls of `validate_profiles` per override line below, 8.67 on
+#: cProfile calls of `validate_profiles` per override line below, 8.00 on
 #: CPython 3.11, plus about 10%. Parsing each override line field by field
-#: took 22.7, and normalising it as a level line as well took 26.7.
-CALLS_PER_OVERRIDE_LINE_BUDGET = 9.5
+#: took 22.7, normalising it as a level line as well took 26.7, and checking
+#: the profile's overrides in its constructor took 8.67.
+CALLS_PER_OVERRIDE_LINE_BUDGET = 8.8
 
 
 class TestHotPath:
@@ -540,6 +542,93 @@ class TestParsing:
         assert len(doc.profiles) == 2
 
 
+#: A factor key for each override kind, of the bundled unit registry plus
+#: `EXTRA_UNIT_LINES`.
+FACTOR_KEYS = {
+    OverrideKind.MASS_SCALED: "li_ion_per_kg", OverrideKind.UNIT_COUNT: "alkaline_aa_per_unit",
+    OverrideKind.MEMORY_CAPACITY: "dram_per_gb",
+    OverrideKind.SOLDER_FROM_IC_AREA: "solder_paste_per_kg",
+}
+EXTRA_UNIT_LINES = ("dram_per_gb,0.0875,kgCO2-eq/Gb,DRAM die per gigabit\n"
+                    "solder_paste_per_kg,27.4,kgCO2-eq/kg,SAC305 paste\n")
+_CASES = st.sampled_from([str, str.upper, str.title, str.swapcase])
+_SPACES = st.sampled_from(["", " ", "\t", "   "])
+_COMMENTS = st.sampled_from(["", "", " # n", "\t# n"])
+
+
+@st.composite
+def record_documents(draw):
+    """Documents whose sections the parser keeps or rejects: each block's
+    level line at any level, the undefined security cells included, in any
+    case and spacing, some commented; override lines in normal form or
+    respelled, with the keys of `FACTOR_KEYS` and maybe a block overridden twice;
+    some sections missing a block, holding a line that is no entry, or under
+    an empty or duplicate header; LF, CRLF or CR line ends."""
+    lines = ["format_version = 1"]
+    for index in range(draw(st.integers(1, 4))):
+        lines.append(draw(st.sampled_from([f"[p{index}]"] * 6 + ["[]", "[p0]"])))
+        # One spelling per section keeps the draws few.
+        key_case, level_case, left, right, comment = (
+            draw(_CASES), draw(_CASES), draw(_SPACES), draw(_SPACES), draw(_COMMENTS))
+        body = [f"{key_case(block.key)}{left}={right}{level_case(level.key)}{comment}"
+                for block in BLOCKS
+                for level in [draw(st.one_of(st.sampled_from(valid_levels(block)),
+                                             st.sampled_from(HSL)))]]
+        for block in draw(st.lists(st.sampled_from(BLOCKS), max_size=4)):
+            kind = draw(st.sampled_from(OverrideKind))
+            unit = draw(st.sampled_from(kind.units + tuple(u.upper() for u in kind.units)))
+            quantity = draw(st.sampled_from(["48", "0.5", "1e3", "2E-1"]))
+            kind_key = draw(st.sampled_from([str, str.upper]))(kind.key)
+            body.append(f"override.{block.key}{draw(st.sampled_from([' = ', '=']))}{kind_key}:"
+                        f"{quantity}{unit}@{FACTOR_KEYS[kind]}{draw(_COMMENTS)}")
+        if draw(st.integers(0, 4)) == 0:
+            body.pop(draw(st.integers(0, len(body) - 1)))
+        if draw(st.integers(0, 4)) == 0:
+            body.append("this line has no equals sign")
+        lines += draw(st.permutations(body))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+def _security_at_hsl2():
+    """One section that is clean but for `security = hsl2`, with CRLF ends."""
+    lines = [f"{block.key} = hsl0" for block in BLOCKS if block is not FunctionalBlock.SECURITY]
+    return "\r\n".join(["format_version = 1", "[p0]", "security = hsl2", *lines,
+                         "override.casing = mass_scaled:48g@li_ion_per_kg", ""])
+
+
+def assert_same_record(record, checked):
+    """`record` equals `checked` field by field, each field and each item of a
+    tuple field of the same type."""
+    assert type(record) is type(checked)
+    for field in dataclasses.fields(checked):
+        value, expected = getattr(record, field.name), getattr(checked, field.name)
+        assert type(value) is type(expected) and value == expected, field.name
+        if isinstance(expected, tuple):
+            assert list(map(type, value)) == list(map(type, expected)), field.name
+
+
+class TestUncheckedRecords:
+    """The parser and the evaluator build their records without the public
+    constructors' checks; each record equals the one those checks admit."""
+
+    @pytest.fixture(scope="class")
+    def all_units(self, units):
+        return parse_unit_registry(serialize_unit_registry(units) + EXTRA_UNIT_LINES)
+
+    @settings(max_examples=200)
+    @given(text=record_documents())
+    @example(text=_security_at_hsl2())
+    def test_parsed_and_evaluated_records_equal_checked_ones_property(self, text, table,
+                                                                      all_units):
+        document, _ = validate_profiles(text)
+        for profile in document.profiles:
+            assert_same_record(profile, HardwareProfile(profile.name, profile.levels,
+                                                        profile.overrides))
+            estimate = evaluate_profile(profile, table, all_units).estimate
+            assert_same_record(estimate, FootprintEstimate(estimate.profile_name,
+                                                           estimate.triples))
+
+
 class TestRoundTrip:
     def test_render_parse_identity(self):
         doc = parse_profiles(read("valid.iotprof"))
@@ -738,9 +827,7 @@ class TestReportRendering:
 
     def test_override_path_runs_no_enum_code(self, table, units):
         # One override of each kind, on blocks at hsl1, so no warning is built.
-        units = parse_unit_registry(serialize_unit_registry(units) + (
-            "dram_per_gb,0.0875,kgCO2-eq/Gb,DRAM die per gigabit\n"
-            "solder_paste_per_kg,27.4,kgCO2-eq/kg,SAC305 paste\n"))
+        units = parse_unit_registry(serialize_unit_registry(units) + EXTRA_UNIT_LINES)
         overrides = (
             ComponentOverride(FunctionalBlock.POWER_SUPPLY, OverrideKind.MASS_SCALED, 48.0, "g",
                               "li_ion_per_kg"),
