@@ -158,9 +158,6 @@ class UnitFactorRegistry:
                 raise MissingBuiltin(f"registry misses mandatory entry {key!r}")
         object.__setattr__(self, "entries", entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
     def get(self, key: str) -> UnitFactor:
         return self.entries[key]
 

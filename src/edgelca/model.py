@@ -87,19 +87,14 @@ CELLS = tuple(
     if not (block is FunctionalBlock.SECURITY and level >= HSL.HSL2)
 )
 _DEFINED = frozenset(CELLS)
-#: The levels each block may take, as a frozenset at the block's position in
+#: The levels each block may take, lowest first, at the block's position in
 #: `BLOCKS`; profile and parser checks read this, not `_DEFINED`, so a level
 #: check builds no (block, level) tuple.
-_VALID_LEVELS = tuple(frozenset(lv for b, lv in CELLS if b is block) for block in BLOCKS)
-
-
-#: `in` on `_VALID_LEVELS` also takes what only equals a member (1, True,
-#: another IntEnum's member); a level must also be of this type.
-_HSL_ONLY = frozenset({HSL})
+_VALID_LEVELS = tuple(tuple(lv for b, lv in CELLS if b is block) for block in BLOCKS)
 
 
 def valid_levels(block: FunctionalBlock) -> Tuple[HSL, ...]:
-    return tuple(lv for b, lv in CELLS if b is block)
+    return _VALID_LEVELS[_POSITION[block]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,24 +223,16 @@ class HardwareProfile:
                                  f"got {type(levels).__name__}")
         if len(levels) != len(BLOCKS):
             raise InvalidProfile(f"profile {name!r} needs one level per block, got {len(levels)}")
-        # One C pass per rule, the type first so that `in` sees only hashable
-        # levels; the loop only names the first bad block.
-        if not (_HSL_ONLY.issuperset(map(type, levels))
-                and all(map(frozenset.__contains__, _VALID_LEVELS, levels))):
-            for block, level, allowed in zip(BLOCKS, levels, _VALID_LEVELS):
-                if not (isinstance(level, HSL) and level in allowed):
-                    shown = level.key if isinstance(level, HSL) else repr(level)
-                    raise InvalidProfile(
-                        f"profile {name!r}: {block.key} cannot be assigned {shown}")
+        for block, level, allowed in zip(BLOCKS, levels, _VALID_LEVELS):
+            if not (isinstance(level, HSL) and level in allowed):
+                shown = level.key if isinstance(level, HSL) else repr(level)
+                raise InvalidProfile(f"profile {name!r}: {block.key} cannot be assigned {shown}")
         overrides = tuple(self.overrides)
-        # One C pass finds a duplicate; the loop only names it.
-        if len(overrides) > 1 and len(set(map(_BLOCK_OF, overrides))) < len(overrides):
-            overridden = set()
-            for ov in overrides:
-                if ov.block in overridden:
-                    raise InvalidProfile(
-                        f"profile {name!r}: multiple overrides target {ov.block.key}")
-                overridden.add(ov.block)
+        overridden = set()
+        for ov in overrides:
+            if ov.block in overridden:
+                raise InvalidProfile(f"profile {name!r}: multiple overrides target {ov.block.key}")
+            overridden.add(ov.block)
         object.__setattr__(self, "overrides", overrides)
 
     @classmethod
@@ -266,7 +253,7 @@ class HardwareProfile:
         return dict(zip(BLOCKS, self.levels))
 
     def level_of(self, block: FunctionalBlock) -> HSL:
-        return self.levels[BLOCKS.index(block)]
+        return self.levels[_POSITION[block]]
 
     @classmethod
     def uniform(cls, name: str, level: HSL):

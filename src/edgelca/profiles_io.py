@@ -35,6 +35,7 @@ from .model import (
     _BLOCK_OF,
     _HSL_BY_KEY,
     _KIND_BY_KEY,
+    _POSITION,
     _VALID_LEVELS,
     _built_profile,
 )
@@ -71,17 +72,14 @@ class ProfileDocument:
 
 
 _SECTION_RE = re.compile(r"^\[(?P<name>[^\]]*)\]\s*$")
-_OVERRIDE_RE = re.compile(
-    r"^(?P<kind>[A-Za-z_]+):(?P<qty>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"(?P<unit>[A-Za-z0-9]+)@(?P<factor>\S+)$"
-)
-#: The groups of an override line exactly as `render_profiles` writes it:
-#: lower-case block and kind, single spaces, no comment and no `#` in the
-#: factor key. Such a line is matched once; every other spelling, and every
-#: diagnostic, is left to `_section_entry`.
-_NORMAL_OVERRIDE = re.compile(
-    r"override\.([a-z_]+) = ([a-z_]+):([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"([A-Za-z0-9]+)@([^\s#]+)").fullmatch
+#: An override's value: its kind, quantity, unit and factor key.
+_OVERRIDE_VALUE = (r"([A-Za-z_]+):([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+                   r"([A-Za-z0-9]+)@([^\s#]+)")
+_OVERRIDE_RE = re.compile(_OVERRIDE_VALUE).fullmatch
+#: The groups of an override line as `render_profiles` writes it: lower-case
+#: block, single spaces and no comment. Such a line is matched once; every
+#: other spelling, and every diagnostic, is left to `_section_entry`.
+_NORMAL_OVERRIDE = re.compile(r"override\.([a-z_]+) = " + _OVERRIDE_VALUE).fullmatch
 
 #: Each defined cell's level line, lower-cased and with each whitespace run
 #: made one space, to (position, level). Block and level keys hold no space,
@@ -128,7 +126,7 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
     if block is None:
         return Diagnostic(UNKNOWN_BLOCK, f"unknown functional block {block_key!r}", line_no)
     if is_override:
-        m = _OVERRIDE_RE.match(value)
+        m = _OVERRIDE_RE(value)
         if not m:
             return Diagnostic(
                 SYNTAX, f"override must be '<kind>:<quantity><unit>@<factor_key>', got {value!r}",
@@ -151,7 +149,7 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
     if level is None:
         return Diagnostic(UNKNOWN_LEVEL, f"unknown level {value!r}", line_no,
                           _value_column(raw, value))
-    assigned = section.lines[BLOCKS.index(block)]
+    assigned = section.lines[_POSITION[block]]
     if assigned:
         return Diagnostic(DUPLICATE_BLOCK, f"block {block.key!r} already assigned on line "
                           f"{assigned}", line_no)
@@ -170,10 +168,9 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
     if section is None or section.name is None:
         return
     if not all(section.lines):  # a block with no line has no level
-        missing = [b.key for b, level in zip(BLOCKS, section.levels) if level is None]
-        diagnostics.append(Diagnostic(
-            MISSING_BLOCK, f"profile {section.name!r} misses blocks: " + ", ".join(missing),
-            section.line))
+        missing = ", ".join(b.key for b, line in zip(BLOCKS, section.lines) if not line)
+        diagnostics.append(Diagnostic(MISSING_BLOCK, f"profile {section.name!r} misses blocks: "
+                                      f"{missing}", section.line))
     elif not section.bad:
         # Each level is one `_CELL_LINES` admitted for its block, and the
         # overrides are keyed by block, so the profile is built unchecked.
@@ -181,7 +178,7 @@ def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
         profiles.append(_built_profile(section.name, tuple(section.levels), overrides))
 
 
-def validate_profiles(text: str) -> Tuple[Optional[ProfileDocument], List[Diagnostic]]:
+def validate_profiles(text: str) -> Tuple[ProfileDocument, List[Diagnostic]]:
     """Parse leniently: returns the document built from clean profiles plus
     every diagnostic found, in document order. A section's `missing-block`
     follows its other diagnostics; entries under an empty or duplicate

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import edgelca.cli
+from edgelca import projection
 from edgelca.cli import REPORT_SLICE, main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 from edgelca.errors import InvalidOverrideUnit, InvalidProfile
@@ -457,6 +458,42 @@ class TestValidateAgreesWithEstimate:
         assert validated.exit_code == estimated.exit_code, (validated.output, estimated.output)
 
 
+class TestMemoryCapacityOverride:
+    """The bundled registry has no `kgCO2-eq/Gb` entry, so a `memory_capacity`
+    override evaluates only with a `--units` registry that adds one."""
+
+    @pytest.fixture()
+    def profile(self, tmp_path):
+        path = tmp_path / "memory.iotprof"
+        path.write_text((FIXTURES / "valid.iotprof").read_text(encoding="utf-8").replace(
+            "override.power_supply = mass_scaled:48g@li_ion_per_kg",
+            "override.memory = memory_capacity:512MB@dram_per_gb"), encoding="utf-8")
+        return path
+
+    def test_bundled_registry_names_the_missing_key(self, runner, profile):
+        assert runner.invoke(main, ["validate", str(profile)]).exit_code == 0
+        result = runner.invoke(main, ["estimate", str(profile)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == ("error: profile #1 ('battery_device'): override on memory: "
+                                 "unknown factor key 'dram_per_gb'\n")
+        assert "Traceback" not in result.output
+
+    def test_units_with_a_gb_factor_evaluate(self, runner, profile, tmp_path, units):
+        registry = tmp_path / "units.csv"
+        registry.write_text(serialize_unit_registry(units)
+                            + "dram_per_gb,1.5/2.5/4,kgCO2-eq/Gb,DRAM die per gigabit\n",
+                            encoding="utf-8")
+        result = runner.invoke(main, ["estimate", str(profile), "--units", str(registry),
+                                      "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        rows = {(row[0], row[1]): row[2:] for row in csv_rows(result.stdout)}
+        gigabits = 512 * 8 / 1000  # 512 MB
+        assert rows["battery_device", "memory"] == (
+            "override", *(f"{gigabits * factor:.2f}" for factor in (1.5, 2.5, 4.0)))
+
+
 def table_rows(text):
     """(profile, block, level, low, typical, up) per row of the table format;
     titles, column headers, warnings and blank lines are skipped."""
@@ -677,6 +714,147 @@ class TestPathway:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
+
+
+def run_twice(args, files=None):
+    """The (stdout, stderr, exit code) of `main args`, run twice, with each
+    of `files` (name to text) written to a temporary directory first; `{dir}`
+    in an argument names that directory."""
+    runs = []
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in (files or {}).items():
+            (Path(directory) / name).write_text(text, encoding="utf-8")
+        args = [arg.replace("{dir}", directory) for arg in args]
+        for _ in range(2):
+            result = CliRunner().invoke(main, args)
+            # Only SystemExit is expected: any other exception is a traceback.
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args, result.exception)
+            runs.append((result.stdout, result.stderr, result.exit_code))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def assert_contract(stdout, stderr, exit_code):
+    """Exit 0 or 2, or exit 1 with nothing on stdout and one `error:` line."""
+    assert exit_code in (0, 1, 2)
+    assert "Traceback" not in stdout + stderr
+    if exit_code == 1:
+        assert stdout == ""
+        assert re.fullmatch(r"error: [^\n]*\n", stderr), stderr
+
+
+def csv_text(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+#: About one draw in ten is True.
+RARELY = st.sampled_from((False,) * 9 + (True,))
+
+#: Field values that no data file accepts where a number or flag belongs.
+JUNK_FIELDS = ("", "x", "nan", "inf", "1e999", "-3", "2018.5", "0", '"')
+
+#: Trend sources: both that drive projections, in other cases, one that does
+#: not, and one that needs quoting.
+DRAWN_SOURCES = ("CISCO", "cisco", "Statista", "STATISTA", "Gartner", 'Acme, "IoT"')
+
+
+@st.composite
+def junked(draw, rows):
+    """`rows`, shuffled, sometimes with one field made junk or dropped."""
+    rows = [list(row) for row in draw(st.permutations(rows))]
+    if rows and draw(RARELY):
+        row = draw(st.sampled_from(rows))
+        index = draw(st.integers(0, len(row) - 1))
+        if draw(st.booleans()):
+            row[index] = draw(st.sampled_from(JUNK_FIELDS))
+        else:
+            del row[index]
+    return rows
+
+
+@st.composite
+def mostly(draw, valid, wide):
+    """A value of `valid` or, about one time in ten, of the wider `wide`."""
+    return draw(wide if draw(RARELY) else valid)
+
+
+@st.composite
+def trends_files(draw):
+    """A trends file of one to three series, each a run of years, mostly
+    within 2018-2028, whose counts mostly increase."""
+    rows = []
+    for source in draw(st.lists(st.sampled_from(DRAWN_SOURCES), min_size=1, max_size=3,
+                                unique=True)):
+        kind = draw(st.sampled_from(("cumulative", "Cumulative", "annual")))
+        first = draw(mostly(st.integers(2018, 2027), st.integers(2017, 2027)))
+        last = draw(mostly(st.integers(first + 1, 2028), st.integers(first, 2029)))
+        value = draw(st.floats(0.01, 50.0))
+        for year in range(first, last + 1):
+            rows.append([source, kind, str(year), repr(value), draw(st.sampled_from("01"))])
+            value += draw(mostly(st.floats(0.01, 20.0), st.floats(-1.0, 20.0)))
+    return csv_text(projection.TRENDS_HEADER, draw(junked(rows)))
+
+
+@st.composite
+def scenarios_files(draw):
+    """A scenarios file of one to three rows; names may repeat once stripped,
+    alpha and psi may leave their ranges, and a triple may be out of order."""
+    rows = []
+    for name in draw(st.lists(st.sampled_from(("sc1", "sc2", " sc1", "a,b", 'q"x')),
+                              min_size=1, max_size=3, unique=True)):
+        triples = [sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=3, max_size=3)))
+                   for _ in range(2)]
+        if draw(RARELY):
+            triples[0].reverse()
+        alpha = draw(mostly(st.floats(0.0, 1.0), st.floats(-0.25, 1.25)))
+        psi = draw(mostly(st.floats(1.0, 4.0), st.floats(0.5, 4.0)))
+        rows.append([name, repr(alpha), repr(psi), *map(repr, triples[0] + triples[1])])
+    return csv_text(projection.SCENARIOS_HEADER, draw(junked(rows)))
+
+
+#: An optional float option's value: absent, or a float as `repr` writes it,
+#: mostly in [0, 1000].
+OPTIONAL_FLOATS = st.one_of(st.none(), mostly(st.floats(0.0, 1000.0), st.floats()).map(repr))
+
+
+def float_options(**values):
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()
+            if value is not None]
+
+
+class TestProjectionCommandsOnDrawnInputs:
+    """`project` on drawn data files and `pathway` on drawn starts keep the
+    exit-code contract, never print a traceback, and repeat byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trends=trends_files(), scenarios=scenarios_files(), psi=OPTIONAL_FLOATS,
+           alpha=OPTIONAL_FLOATS)
+    def test_project(self, trends, scenarios, psi, alpha):
+        args = ["project", "--trends", "{dir}/trends.csv",
+                "--scenarios-file", "{dir}/scenarios.csv", *float_options(psi=psi, alpha=alpha)]
+        assert_contract(*run_twice(args, {"trends.csv": trends, "scenarios.csv": scenarios}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(low=OPTIONAL_FLOATS, high=OPTIONAL_FLOATS,
+           end=st.one_of(st.none(), st.integers(2015, 2033)))
+    def test_pathway(self, low, high, end):
+        args = ["pathway", *float_options(start_low=low, start_high=high, end_year=end)]
+        stdout, stderr, exit_code = run_twice(args)
+        assert_contract(stdout, stderr, exit_code)
+        if exit_code == 0:
+            # Each year's bounds are the year before's times 1 - 7.6 %.
+            low = float(low or projection.PARIS_START_RANGE[0])
+            high = float(high or projection.PARIS_START_RANGE[1])
+            rows = ["year,low,high"]
+            for year in range(2020, (end or projection.LAST_YEAR) + 1):
+                rows.append(f"{year},{low:.2f},{high:.2f}")
+                low, high = low * (1 - 0.076), high * (1 - 0.076)
+            assert stdout == "\n".join(rows) + "\n"
 
 
 class TestDataDirOverride:

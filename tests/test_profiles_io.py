@@ -310,18 +310,18 @@ def seeded_document(count, seed=0):
     return "# seeded\nformat_version = 1\n" + "".join(sections)
 
 
-#: cProfile calls per profile on the `estimate` hot path below, 79.2 on
-#: CPython 3.11, plus about 10%. Checking each parsed profile and each
-#: estimate in its constructor took 89.2.
+#: cProfile calls per profile on the `estimate` hot path below, 80.7 on
+#: CPython 3.10, 3.11 and 3.12, plus about 8%. Checking each parsed profile
+#: and each estimate in its constructor took 89.2 on 3.11.
 CALLS_PER_PROFILE_BUDGET = 87
 
 OVERRIDE_VALUES = ("mass_scaled:48g@li_ion_per_kg", "unit_count:2u@alkaline_aa_per_unit",
                    "memory_capacity:512MB@dram_per_gb", "solder_from_ic_area:25mm2@solder_per_kg")
 
 #: cProfile calls of `validate_profiles` per override line below, 8.00 on
-#: CPython 3.11, plus about 10%. Parsing each override line field by field
-#: took 22.7, normalising it as a level line as well took 26.7, and checking
-#: the profile's overrides in its constructor took 8.67.
+#: CPython 3.10, 3.11 and 3.12, plus about 10%. On 3.11, parsing each override
+#: line field by field took 22.7, normalising it as a level line as well took
+#: 26.7, and checking the profile's overrides in its constructor took 8.67.
 CALLS_PER_OVERRIDE_LINE_BUDGET = 8.8
 
 
