@@ -198,21 +198,27 @@ def iter_lines(text: str) -> Iterator[str]:
     this leaves whole fits on one line of a data or profile file.
 
     The lines come a block at a time: each block runs to the first LF at
-    least `LINE_BLOCK` characters past its start, so a whole file's lines
-    are never held at once. Each block's CRLF and CR become LF on their own,
-    so no copy of the whole text is made; the CR of a CRLF at a block's end
-    is left out with its LF. Text with no LF is one block.
+    least `LINE_BLOCK` characters past its start that ends a line of text,
+    not an empty one, so a whole file's lines are never held at once and
+    only the last block can end in a line break. Each block's CRLF and CR
+    become LF on their own, so no copy of the whole text is made; the CR of
+    a CRLF at a block's end is left out with its LF. Text with no LF is one
+    block.
     """
-    return chain.from_iterable(_block_lines(text))
+    return chain.from_iterable(block.split("\n") for block in _block_lines(text))
 
 
-def _block_lines(text: str) -> Iterator[List[str]]:
-    """The lines of each of `iter_lines`' blocks, as one list per block."""
+def _block_lines(text: str) -> Iterator[str]:
+    """The text of each of `iter_lines`' blocks, its lines joined by LF."""
     start = 0
     while True:
-        cut = text.find("\n", start + LINE_BLOCK)
-        end = len(text) if cut < 0 else cut - (text[cut - 1] == "\r")
-        yield text[start:end].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        cut = start + LINE_BLOCK - 1
+        while True:
+            cut = text.find("\n", cut + 1)
+            end = len(text) if cut < 0 else cut - (text[cut - 1] == "\r")
+            if cut < 0 or end == start or text[end - 1] not in "\r\n":
+                break
+        yield text[start:end].replace("\r\n", "\n").replace("\r", "\n")
         if cut < 0:
             return
         start = cut + 1

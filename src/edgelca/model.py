@@ -7,13 +7,18 @@ shared freely between threads.
 Every public constructor checks its record's invariant. Two hot paths build
 records through `_built_profile` and `_built_estimate` instead, which only
 set the fields, since their values hold the invariant by construction:
-- the parser (`profiles_io._close`) builds each clean section's
-  `HardwareProfile`: its levels are a tuple of the levels its `_CELL_LINES`
-  admitted, one per block, and its overrides come from a dict keyed by
-  block, so no block is overridden twice;
+- the parser (`profiles_io.validate_profiles` and `_close`) builds each
+  clean section's `HardwareProfile`: its levels are a tuple of the levels
+  its `_SECTION` match or its `_CELL_LINES` admitted, one per block, and
+  its overrides come from a dict keyed by block, so no block is overridden
+  twice;
 - the evaluator (`estimator.evaluate_profile`) builds each
   `FootprintEstimate` from a tuple of 12 checked `EmissionTriple`s, one per
-  block, and still takes its `total` from `triple_sum`.
+  block;
+- that estimate's `total`, the sum `triple_sum` would give: IEEE addition is
+  monotone, so a sum of triples with 0 <= low <= typical <= up keeps that
+  order, and only a sum that overflows (`up` not below inf) is built through
+  `EmissionTriple`, which refuses it.
 Checking such a record again would cost more than the rest of its
 construction.
 """
@@ -230,6 +235,9 @@ class HardwareProfile:
         overrides = tuple(self.overrides)
         overridden = set()
         for ov in overrides:
+            if not isinstance(ov, ComponentOverride):
+                raise InvalidProfile(f"profile {name!r}: overrides must be ComponentOverrides, "
+                                     f"got {type(ov).__name__}")
             if ov.block in overridden:
                 raise InvalidProfile(f"profile {name!r}: multiple overrides target {ov.block.key}")
             overridden.add(ov.block)
@@ -295,10 +303,22 @@ class FootprintEstimate:
 
 def _built_estimate(profile_name: str,
                     triples: Tuple[EmissionTriple, ...]) -> FootprintEstimate:
-    """`FootprintEstimate(profile_name, triples)` without its check, for a
+    """`FootprintEstimate(profile_name, triples)` without its checks, for a
     tuple of one `EmissionTriple` per block (see the module docstring)."""
+    low = typical = up = 0.0  # as `triple_sum` adds
+    for t in triples:
+        low += t.low
+        typical += t.typical
+        up += t.up
+    if up < math.inf:
+        total = _new(EmissionTriple)
+        _set(total, "low", low)
+        _set(total, "typical", typical)
+        _set(total, "up", up)
+    else:
+        total = EmissionTriple(low, typical, up)  # raises InvalidTriple
     estimate = _new(FootprintEstimate)
     _set(estimate, "profile_name", profile_name)
     _set(estimate, "triples", triples)
-    _set(estimate, "total", triple_sum(triples))
+    _set(estimate, "total", total)
     return estimate

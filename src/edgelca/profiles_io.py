@@ -11,19 +11,29 @@ Grammar (line-oriented, UTF-8, `#` comments):
 
 All diagnostics are collected in one pass (never fail-fast) and carry a
 line, a column and a stable error code.
+
+A section spelled as `render_profiles` writes it is read in one regex
+match: a `[name]` header alone on its line, the name without outer
+whitespace, `#` or `]`; the 12 `<block> = hslN` lines in block order;
+override lines only as `override.<block> = <kind>:<quantity><unit>@<key>`,
+in lower case with single spaces, before or after the levels; then blank
+lines up to the next header or the end of the text. Every other spelling,
+and a section that straddles one of `factors.iter_lines`' blocks, is read
+line by line: the same document and diagnostics, only slower.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidProfile, ProfileParseError
 from .estimator import EvaluationReport
-from .factors import LINE_BREAKS, csv_field, iter_lines, read_text
+from .factors import LINE_BREAKS, _block_lines, csv_field, read_text
 from .model import (
     BLOCKS,
     ComponentOverride,
@@ -77,9 +87,32 @@ _OVERRIDE_VALUE = (r"([A-Za-z_]+):([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
                    r"([A-Za-z0-9]+)@([^\s#]+)")
 _OVERRIDE_RE = re.compile(_OVERRIDE_VALUE).fullmatch
 #: The groups of an override line as `render_profiles` writes it: lower-case
-#: block, single spaces and no comment. Such a line is matched once; every
-#: other spelling, and every diagnostic, is left to `_section_entry`.
+#: block, single spaces and no comment.
 _NORMAL_OVERRIDE = re.compile(r"override\.([a-z_]+) = " + _OVERRIDE_VALUE).fullmatch
+#: Each block's level lines as `render_profiles` writes them, one per valid
+#: level, at the block's position in `BLOCKS`.
+_LEVEL_LINES = tuple(tuple(f"{block.key} = {level.key}\n" for level in allowed)
+                     for block, allowed in zip(BLOCKS, _VALID_LEVELS))
+#: `_SECTION` matches the level lines of each of these runs of blocks as one
+#: group; `_RUN_LEVELS` maps each text such a group can have to its levels,
+#: so a section's levels take three lookups.
+_RUNS = (slice(0, 4), slice(4, 8), slice(8, 12))
+_RUN_LEVELS = {text: levels for run in _RUNS for text, levels in
+               zip(map("".join, product(*_LEVEL_LINES[run])), product(*_VALID_LEVELS[run]))}
+#: A whole section in the spelling the module docstring names, in one of
+#: `factors._block_lines`' blocks, then a lookahead: the next line is a
+#: header that `validate_profiles` reads as one, or the block ends, which
+#: only the last block can do after a line break. So no later line belongs
+#: to the section. Its groups are the name, the override lines before the
+#: levels, the level lines of each of `_RUNS` and the override lines after.
+#: An override line is matched by its prefix only: `_section_overrides`
+#: matches it with `_NORMAL_OVERRIDE`, so none is matched twice.
+_SECTION = re.compile(
+    r"\[([^\]#\s](?:[^\]#\n]*[^\]#\s])?)\]\n((?:override\.[^\n]*\n)*)"
+    + "".join("(" + "".join(f"{block.key} = (?:{'|'.join(level.key for level in allowed)})\n"
+                            for block, allowed in zip(BLOCKS[run], _VALID_LEVELS[run])) + ")"
+              for run in _RUNS)
+    + r"((?:override\.[^\n]*\n)*)\n*(?=\[[^\]#\n]*\][^\S\n]*(?:[#\n]|\Z)|\Z)").match
 
 #: Each defined cell's level line, lower-cased and with each whitespace run
 #: made one space, to (position, level). Block and level keys hold no space,
@@ -162,6 +195,26 @@ def _section_entry(section: _Section, key: str, value: str, line_no: int,
 _OVERRIDE_OF = itemgetter(0)  # of a `_Section.overrides` value
 
 
+def _section_overrides(text: str) -> Optional[Tuple[ComponentOverride, ...]]:
+    """The overrides of `_SECTION`'s override lines, `text`, each ended by
+    LF; None if one is not in normal form, names an unknown block or kind or
+    a block overridden before, or has a value `ComponentOverride` refuses."""
+    overrides: Dict[FunctionalBlock, ComponentOverride] = {}
+    for line in text.split("\n")[:-1]:
+        m = _NORMAL_OVERRIDE(line)
+        if m is None:
+            return None
+        block_key, kind_key, quantity, unit, factor_key = m.groups()
+        block, kind = _BLOCK_BY_KEY.get(block_key), _KIND_BY_KEY.get(kind_key)
+        if block is None or kind is None or block in overrides:
+            return None
+        try:
+            overrides[block] = ComponentOverride(block, kind, float(quantity), unit, factor_key)
+        except InvalidProfile:
+            return None
+    return tuple(overrides.values())
+
+
 def _close(section: Optional[_Section], diagnostics: List[Diagnostic],
            profiles: List[HardwareProfile]) -> None:
     """Report the blocks a named section misses, or keep its profile if it is clean."""
@@ -182,96 +235,119 @@ def validate_profiles(text: str) -> Tuple[ProfileDocument, List[Diagnostic]]:
     """Parse leniently: returns the document built from clean profiles plus
     every diagnostic found, in document order. A section's `missing-block`
     follows its other diagnostics; entries under an empty or duplicate
-    header are skipped."""
+    header are skipped.
+
+    A section that `_SECTION` matches, under a new name and with overrides
+    `_section_overrides` takes, is built from that match. Every other line
+    is read on its own, and only that path reports diagnostics."""
     diagnostics: List[Diagnostic] = []
     profiles: List[HardwareProfile] = []
     annotations: Dict[str, str] = {}
     format_version = SUPPORTED_FORMAT_VERSION
     header_lines: Dict[str, int] = {}
-    section: Optional[_Section] = None  # None before the first header
+    # The open section: None before the first header, and after a section
+    # built in one step, which only a header can follow.
+    section: Optional[_Section] = None
     levels, lines = None, _NO_SECTION_LINES  # the open section's
-    overrides = None  # the open section's, if it is named
-    cell_of, block_of, kind_of = _CELL_LINES.get, _BLOCK_BY_KEY.get, _KIND_BY_KEY.get
-    for line_no, raw in enumerate(iter_lines(text), start=1):
-        if not raw:
-            continue
-        # A level line that can assign its block does so here; under a rejected
-        # header it writes levels that are never read. A line in normal form
-        # is its own key, and no key starts with `[` or `override.`.
-        cell = cell_of(raw)
-        line = raw
-        if cell is None:
-            # A new override of a named section, in normal form, is stored
-            # here; any miss falls through to the general path.
-            m = _NORMAL_OVERRIDE(raw) if overrides is not None and raw[0] == "o" else None
+    line_no = 0
+    cell_of = _CELL_LINES.get
+    for block in _block_lines(text):
+        pos = 0  # where the block's next line starts; -1 past its last line
+        while pos >= 0:
+            m = _SECTION(block, pos)
             if m is not None:
-                block_key, kind_key, quantity, unit, factor_key = m.groups()
-                block, kind = block_of(block_key), kind_of(kind_key)
-                if block is not None and kind is not None and block not in overrides:
-                    try:
-                        override = ComponentOverride(block, kind, float(quantity), unit,
-                                                     factor_key)
-                    except InvalidProfile:
-                        pass
-                    else:
-                        overrides[block] = (override, line_no)
-                        continue
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line[0] != "[" and not line.startswith("override."):
-                cell = cell_of(" ".join(line.lower().split()))
-        if cell is not None and not lines[cell[0]]:
-            position, level = cell
-            levels[position] = level
-            lines[position] = line_no
-            continue
-        m = _SECTION_RE.match(line) if line[0] == "[" else None
-        if m:
-            _close(section, diagnostics, profiles)
-            name = m.group("name").strip()
-            if not name:
-                diagnostics.append(Diagnostic(SYNTAX, "empty profile name", line_no))
-                name = None
-            elif name in header_lines:
-                diagnostics.append(Diagnostic(
-                    DUPLICATE_PROFILE_NAME,
-                    f"profile name {name!r} already used on line {header_lines[name]}", line_no))
-                name = None
+                name, pre, first, second, third, post = m.groups()
+                overrides = None
+                if name not in header_lines:
+                    overrides = _section_overrides(pre + post) if pre or post else ()
+                if overrides is not None:
+                    if section is not None:
+                        _close(section, diagnostics, profiles)
+                        section = None
+                    header_lines[name] = line_no + 1
+                    # Each level is one `_SECTION` admits for its block, and
+                    # the overrides are of distinct blocks.
+                    profiles.append(_built_profile(name, _RUN_LEVELS[first] + _RUN_LEVELS[second]
+                                                   + _RUN_LEVELS[third], overrides))
+                    end = m.end()
+                    line_no += block.count("\n", pos, end)
+                    pos = end
+                    continue
+            # The lines up to the next one that starts with `[`.
+            cut = block.find("\n[", pos)
+            if cut < 0:
+                chunk, pos = block[pos:], -1
             else:
-                header_lines[name] = line_no
-            section = _Section(name, line_no)
-            levels, lines = section.levels, section.lines
-            overrides = section.overrides if name is not None else None
-            continue
-        key, equals, value = line.partition("=")
-        if not (equals and key):
-            diagnostics.append(Diagnostic(SYNTAX, f"expected 'key = value', got {line!r}", line_no))
-            continue
-        key, value = key.rstrip(), value.strip()
-        if section is not None:
-            if section.name is not None:
-                diagnostic = _section_entry(section, key, value, line_no, raw)
-                if diagnostic is not None:
-                    diagnostics.append(diagnostic)
-                    section.bad = True
-        elif key == "format_version":
-            try:
-                format_version = int(value)
-            except ValueError:
-                diagnostics.append(Diagnostic(
-                    SYNTAX, f"format_version must be an integer, got {value!r}", line_no,
-                    _value_column(raw, value)))
-                continue
-            if format_version != SUPPORTED_FORMAT_VERSION:
-                diagnostics.append(Diagnostic(
-                    UNSUPPORTED_VERSION, f"format_version {format_version} unsupported "
-                    f"(supported: {SUPPORTED_FORMAT_VERSION})", line_no, _value_column(raw, value)))
-        elif key.startswith("annotation."):
-            annotations[key[len("annotation."):]] = value
-        else:
-            diagnostics.append(Diagnostic(
-                SYNTAX, f"unexpected key {key!r} before first profile section", line_no))
+                chunk, pos = block[pos:cut], cut + 1
+            for raw in chunk.split("\n"):
+                line_no += 1
+                if not raw:
+                    continue
+                # A level line that can assign its block does so here; under a
+                # rejected header it writes levels that are never read. A line
+                # in normal form is its own key, and no key starts with `[` or
+                # `override.`.
+                cell = cell_of(raw)
+                line = raw
+                if cell is None:
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if line[0] != "[" and not line.startswith("override."):
+                        cell = cell_of(" ".join(line.lower().split()))
+                if cell is not None and not lines[cell[0]]:
+                    position, level = cell
+                    levels[position] = level
+                    lines[position] = line_no
+                    continue
+                m = _SECTION_RE.match(line) if line[0] == "[" else None
+                if m:
+                    _close(section, diagnostics, profiles)
+                    name = m.group("name").strip()
+                    if not name:
+                        diagnostics.append(Diagnostic(SYNTAX, "empty profile name", line_no))
+                        name = None
+                    elif name in header_lines:
+                        diagnostics.append(Diagnostic(
+                            DUPLICATE_PROFILE_NAME,
+                            f"profile name {name!r} already used on line {header_lines[name]}",
+                            line_no))
+                        name = None
+                    else:
+                        header_lines[name] = line_no
+                    section = _Section(name, line_no)
+                    levels, lines = section.levels, section.lines
+                    continue
+                key, equals, value = line.partition("=")
+                if not (equals and key):
+                    diagnostics.append(Diagnostic(
+                        SYNTAX, f"expected 'key = value', got {line!r}", line_no))
+                    continue
+                key, value = key.rstrip(), value.strip()
+                if section is not None:
+                    if section.name is not None:
+                        diagnostic = _section_entry(section, key, value, line_no, raw)
+                        if diagnostic is not None:
+                            diagnostics.append(diagnostic)
+                            section.bad = True
+                elif key == "format_version":
+                    try:
+                        format_version = int(value)
+                    except ValueError:
+                        diagnostics.append(Diagnostic(
+                            SYNTAX, f"format_version must be an integer, got {value!r}",
+                            line_no, _value_column(raw, value)))
+                        continue
+                    if format_version != SUPPORTED_FORMAT_VERSION:
+                        diagnostics.append(Diagnostic(
+                            UNSUPPORTED_VERSION, f"format_version {format_version} unsupported "
+                            f"(supported: {SUPPORTED_FORMAT_VERSION})", line_no,
+                            _value_column(raw, value)))
+                elif key.startswith("annotation."):
+                    annotations[key[len("annotation."):]] = value
+                else:
+                    diagnostics.append(Diagnostic(
+                        SYNTAX, f"unexpected key {key!r} before first profile section", line_no))
     _close(section, diagnostics, profiles)
     return ProfileDocument(format_version, tuple(profiles), annotations), diagnostics
 

@@ -461,12 +461,20 @@ class TestIterLines:
             mp.setattr(factors, "LINE_BLOCK", block)
             assert list(iter_lines(text)) == self.expected(text)
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @given(text=st.text(alphabet=st.sampled_from("ab\n\r"), max_size=40))
+    def test_only_the_last_block_ends_in_a_line_break_property(self, block, text):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factors, "LINE_BLOCK", block)
+            blocks = list(factors._block_lines(text))
+        assert not any(b.endswith("\n") for b in blocks[:-1]), blocks
+
     def test_crlf_at_the_cut_drops_its_cr(self, monkeypatch):
         # Each block ends just before the LF of a CRLF; its CR must not make
         # an empty line of its own.
         monkeypatch.setattr(factors, "LINE_BLOCK", 2)
         text = "ab\r\ncd\r\nef"
-        assert list(factors._block_lines(text)) == [["ab"], ["cd"], ["ef"]]
+        assert list(factors._block_lines(text)) == ["ab", "cd", "ef"]
         assert list(iter_lines(text)) == ["ab", "cd", "ef"]
 
     def test_text_without_lf_is_one_block(self, monkeypatch):

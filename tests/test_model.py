@@ -18,6 +18,7 @@ from edgelca.model import (
     ZERO_TRIPLE,
     _BLOCK_BY_KEY,
     _HSL_BY_KEY,
+    _built_estimate,
     triple_sum,
     valid_levels,
 )
@@ -195,6 +196,12 @@ class TestProfile:
         with pytest.raises(InvalidProfile, match="'p': multiple overrides target user_interface"):
             HardwareProfile.from_mapping("p", self._full_assignments(), (speaker(1), speaker(2)))
 
+    @pytest.mark.parametrize("item", ["x", None, (FunctionalBlock.PCB,)])
+    def test_override_that_is_not_a_component_override_rejected(self, item):
+        message = f"profile 'p': overrides must be ComponentOverrides, got {type(item).__name__}"
+        with pytest.raises(InvalidProfile, match=f"^{re.escape(message)}$"):
+            HardwareProfile("p", (HSL.HSL0,) * 12, (item,))
+
 
 class OtherLevel(enum.IntEnum):
     """Equal, value for value, to HSL's members, but not one of them."""
@@ -286,6 +293,19 @@ class TestSummationOrder:
             typical += per_block[block].typical
             up += per_block[block].up
         assert estimate.total.as_tuple() == (low, typical, up)
+
+    @given(st.lists(spread_triples(), min_size=12, max_size=12))
+    def test_built_estimate_equals_the_checked_one(self, cells):
+        built, checked = _built_estimate("p", tuple(cells)), FootprintEstimate("p", tuple(cells))
+        assert built == checked
+        assert type(built.total) is EmissionTriple
+
+    def test_built_estimate_refuses_a_total_that_overflows(self):
+        cells = (EmissionTriple(0.0, 0.0, 1e308),) * 12
+        with pytest.raises(InvalidTriple, match=r"^triple \(0\.0, 0\.0, inf\) violates"):
+            _built_estimate("p", cells)
+        with pytest.raises(InvalidTriple, match=r"^triple \(0\.0, 0\.0, inf\) violates"):
+            FootprintEstimate("p", cells)
 
     def test_twelve_cells_of_a_tenth(self):
         # Python 3.12's sum() compensates and gives 1.2000000000000002 here.

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from edgelca import factors
 from edgelca.errors import InvalidProfile, ProfileParseError
 from edgelca.estimator import EvaluationReport, batch_evaluate, evaluate_profile
-from edgelca.factors import parse_unit_registry, serialize_unit_registry
+from edgelca.factors import LINE_BLOCK, parse_unit_registry, serialize_unit_registry
 from edgelca.model import (
     BLOCKS,
     CELLS,
@@ -310,18 +311,19 @@ def seeded_document(count, seed=0):
     return "# seeded\nformat_version = 1\n" + "".join(sections)
 
 
-#: cProfile calls per profile on the `estimate` hot path below, 80.7 on
-#: CPython 3.10, 3.11 and 3.12, plus about 8%. Checking each parsed profile
-#: and each estimate in its constructor took 89.2 on 3.11.
-CALLS_PER_PROFILE_BUDGET = 87
+#: cProfile calls per profile on the `estimate` hot path below, 57.2 on
+#: CPython 3.11, plus about 10%. Reading each section line by line took
+#: 79.2, and checking each parsed profile and each estimate in its
+#: constructor as well took 89.2.
+CALLS_PER_PROFILE_BUDGET = 63
 
 OVERRIDE_VALUES = ("mass_scaled:48g@li_ion_per_kg", "unit_count:2u@alkaline_aa_per_unit",
                    "memory_capacity:512MB@dram_per_gb", "solder_from_ic_area:25mm2@solder_per_kg")
 
-#: cProfile calls of `validate_profiles` per override line below, 8.00 on
-#: CPython 3.10, 3.11 and 3.12, plus about 10%. On 3.11, parsing each override
-#: line field by field took 22.7, normalising it as a level line as well took
-#: 26.7, and checking the profile's overrides in its constructor took 8.67.
+#: cProfile calls of `validate_profiles` per override line below, 8.08 on
+#: CPython 3.11, plus about 10%. Parsing each override line field by field
+#: took 22.7, normalising it as a level line as well took 26.7, and checking
+#: the profile's overrides in its constructor took 8.67.
 CALLS_PER_OVERRIDE_LINE_BUDGET = 8.8
 
 
@@ -380,6 +382,22 @@ class TestHotPath:
             assert len(document.profiles) == count and not diagnostics
             del document
         assert peaks[1] <= 1.1 * peaks[0], f"CRLF peak {peaks[1]} B, LF peak {peaks[0]} B"
+
+    def test_parse_holds_no_copy_of_the_text(self):
+        # One block of lines at a time: besides the document it returns, the
+        # parse peaked at 0.65 MB on this 2.07 MB text (CPython 3.11), and at
+        # 2.61 MB when it held the list of every block's text.
+        text = seeded_document(10_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            document, diagnostics = validate_profiles(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(document.profiles) == 10_000 and not diagnostics
+        assert peak - retained <= len(text) // 2, (
+            f"{peak - retained} B held while parsing {len(text)} characters")
 
 
 def single_override_document(override):
@@ -540,6 +558,84 @@ class TestParsing:
         )
         doc = parse_profiles(text)
         assert len(doc.profiles) == 2
+
+
+#: Section names, formatted with the section's index: new, holding a space,
+#: repeated, padded, empty or blank, and holding a `#`.
+SECTION_NAMES = ("p{}", "p{}", "p{}", "p {}", "p0", " p{}", "p{} ", "", "   ", "p#{}")
+#: Override lines: in normal form, on four blocks; with an upper-case kind, an
+#: unknown block or kind, an infinite quantity, a wrong unit or a comment.
+SECTION_OVERRIDES = (
+    *(f"override.{block} = {value}"
+      for block, value in zip(("power_supply", "casing", "memory", "pcb"), OVERRIDE_VALUES)),
+    "override.pcb = MASS_SCALED:48g@li_ion_per_kg", "override.display = mass_scaled:1g@x",
+    "override.pcb = plastic:1g@x", "override.pcb = mass_scaled:1e999g@x",
+    "override.pcb = mass_scaled:48kg@x", "override.pcb = mass_scaled:48g@x # c")
+#: Lines that a clean section does not hold.
+STRAY_LINES = ("# note", "stray", "casing = hsl1", "casing=hsl1", "[a]b", "[a=b", "", " ")
+
+
+def sectioned_text(pick, sections):
+    """A document of `sections` sections, each chosen by `pick(options)`: a
+    header from `SECTION_NAMES`; the 12 level lines at valid levels or, one
+    section in four, at any; override lines before and after them, maybe
+    on one block twice; 0 to 2 blank lines after; one section in four with a
+    stray line somewhere. LF line ends, and the last line ended or not."""
+    lines = ["format_version = 1"]
+    for index in range(sections):
+        lines.append(f"[{pick(SECTION_NAMES).format(index)}]")
+        levels = [pick(valid_levels(block) if pick((True, True, True, False)) else tuple(HSL))
+                  for block in BLOCKS]
+        body = [*(pick(SECTION_OVERRIDES) for _ in range(pick((0, 0, 1, 2)))),
+                *(f"{block.key} = {level.key}" for block, level in zip(BLOCKS, levels)),
+                *(pick(SECTION_OVERRIDES) for _ in range(pick((0, 0, 1, 2)))),
+                *[""] * pick((0, 1, 1, 2))]
+        if pick((False, False, False, True)):
+            body.insert(pick(range(len(body) + 1)), pick(STRAY_LINES))
+        lines += body
+    return "\n".join(lines) + pick(("\n", ""))
+
+
+@st.composite
+def sectioned_documents(draw):
+    return sectioned_text(lambda options: draw(st.sampled_from(options)), draw(st.integers(0, 5)))
+
+
+def long_sectioned_document():
+    """A `sectioned_text` long enough that sections straddle `LINE_BLOCK`s."""
+    text = sectioned_text(random.Random(0).choice, 1000)
+    assert len(text) > 2 * LINE_BLOCK
+    return text
+
+
+class TestSectionPath:
+    # Blocks of 64 and 256 characters cut most drawn documents, some of them
+    # just before a blank line.
+    @settings(max_examples=300)
+    @given(text=sectioned_documents(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           block=st.sampled_from([LINE_BLOCK, 256, 64]))
+    @example(text=long_sectioned_document(), newline="\n", block=LINE_BLOCK)
+    @example(text=long_sectioned_document(), newline="\r\n", block=LINE_BLOCK)
+    def test_section_path_reads_as_the_per_line_path_property(self, text, newline, block):
+        # A space after each header line keeps every section off the section
+        # path and changes nothing for the per-line path.
+        padded = re.sub(r"(?m)^\[.*\]$", r"\g<0> ", text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factors, "LINE_BLOCK", block)
+            document, diagnostics = validate_profiles(text.replace("\n", newline))
+            padded_document, padded_diagnostics = validate_profiles(padded.replace("\n", newline))
+        assert document == padded_document
+        assert list(map(str, diagnostics)) == list(map(str, padded_diagnostics))
+
+    def test_a_blank_line_at_a_block_end_does_not_end_the_text(self, monkeypatch):
+        # The first block would end with the section's blank line, and the
+        # line after it, in the next block, still belongs to the section.
+        section = "[p]\n" + "".join(f"{block.key} = hsl1\n" for block in BLOCKS)
+        monkeypatch.setattr(factors, "LINE_BLOCK", len(section))
+        document, diagnostics = validate_profiles(section + "\ncasing = hsl1\n")
+        assert document.profiles == ()
+        assert list(map(str, diagnostics)) == [
+            "15:1: duplicate-block: block 'casing' already assigned on line 3"]
 
 
 #: A factor key for each override kind, of the bundled unit registry plus
