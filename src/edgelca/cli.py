@@ -157,7 +157,7 @@ def project_cmd(scenario_name, scenarios_file, trends_file, source, psi, alpha, 
             raise click.BadParameter(f"unknown scenario {scenario_name!r}",
                                      param_hint="--scenario")
     trends = defaults.default_trends(trends_file)
-    wanted = [source] if source else list(PROJECTION_SOURCES)
+    wanted = [source] if source is not None else list(PROJECTION_SOURCES)
     annuals = [cumulative_to_annual(trend) for trend in driving_trends(trends, wanted)]
     if not annuals:
         raise click.BadParameter(f"no cumulative trend for {wanted}", param_hint="--trend")

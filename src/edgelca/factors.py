@@ -176,10 +176,11 @@ def csv_field(text: str) -> str:
 
 
 def read_text(path: Path) -> str:
-    """The text of the UTF-8 file at `path`; EdgeLcaError naming the file if
-    it cannot be read or is not UTF-8."""
+    """The text of the UTF-8 file at `path`, without a leading byte order
+    mark; EdgeLcaError naming the file if it cannot be read or is not UTF-8.
+    The mark is dropped after decoding, so an error's byte offset counts it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise EdgeLcaError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:

@@ -9,7 +9,8 @@ records through `_built_profile` and `_built_estimate` instead, which only
 set the fields, since their values hold the invariant by construction:
 - the parser (`profiles_io.validate_profiles` and `_close`) builds each
   clean section's `HardwareProfile`: its levels are a tuple of the levels
-  its `_SECTION` match or its `_CELL_LINES` admitted, one per block, and
+  its `_SECTION` match admitted, or that `_section_entry` admitted line by
+  line for a hand-spelled section, one per block, each in `_VALID_LEVELS`;
   its overrides come from a dict keyed by block, so no block is overridden
   twice;
 - the evaluator (`estimator.evaluate_profile`) builds each

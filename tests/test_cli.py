@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import edgelca.cli
-from edgelca import projection
+from edgelca import defaults, projection
 from edgelca.cli import REPORT_SLICE, main
 from edgelca.defaults import DATA_DIR_ENV, example_profile_path
 from edgelca.errors import InvalidOverrideUnit, InvalidProfile
@@ -666,6 +667,13 @@ class TestProject:
         result = runner.invoke(main, ["project", "--trend", "Nokia"])
         assert result.exit_code == 2
 
+    def test_empty_trend_is_usage_error(self, runner):
+        # An empty source names no trend; it is not the default of both.
+        result = runner.invoke(main, ["project", "--trend", ""])
+        assert result.exit_code == 2
+        assert "no cumulative trend for ['']" in result.stderr
+        assert result.stdout == ""
+
     def test_nonfinite_psi_exits_one(self, runner):
         result = runner.invoke(main, ["project", "--psi", "inf"])
         assert result.exit_code == 1
@@ -1064,6 +1072,47 @@ class TestNotUtf8:
     def test_data_dir(self, runner, latin1_factors, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, str(latin1_factors.parent))
         self.check(runner.invoke(main, ["sensitivity"]), latin1_factors)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is skipped in every file read."""
+
+    def bom_copy(self, tmp_path, source):
+        path = tmp_path / source.name
+        path.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        return path
+
+    def test_profile_validates(self, runner, tmp_path):
+        path = self.bom_copy(tmp_path, FIXTURES / "valid.iotprof")
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout == f"{path}: OK (2 profile(s))\n"
+
+    def test_estimate_matches_golden(self, runner, tmp_path):
+        path = self.bom_copy(tmp_path, example_profile_path("use_cases"))
+        result = runner.invoke(main, ["estimate", str(path), "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.stdout == (FIXTURES / "golden" / "estimate_csv.out").read_text(
+            encoding="utf-8")
+
+    @pytest.mark.parametrize("load, name", [
+        (defaults.default_factor_table, "factors.csv"),
+        (defaults.default_unit_registry, "units.csv"),
+        (defaults.default_trends, "trends.csv"),
+        (defaults.default_scenarios, "scenarios.csv"),
+    ])
+    def test_data_file_loads_as_bundled(self, tmp_path, monkeypatch, load, name):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+        assert load(self.bom_copy(tmp_path, DATA / name)) == load()
+
+    def test_bad_byte_offset_counts_the_mark(self, runner, tmp_path):
+        latin1 = (FIXTURES / "valid.iotprof").read_bytes().replace(b"corpus", b"caf\xe9")
+        text = codecs.BOM_UTF8 + latin1
+        path = tmp_path / "latin1.iotprof"
+        path.write_bytes(text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 1
+        assert f"at byte {text.index(b'caf') + 3})" in result.stderr
 
 
 COMMANDS = ("estimate", "validate", "sensitivity", "project", "pathway")

@@ -402,6 +402,12 @@ class TestDataFileGrammar:
             parse("# note\n\n" + header.replace(",", ";") + "\n")
         assert info.value.line == 3
 
+    def test_header_names_are_checked_not_only_counted(self, kind):
+        parse, header = DATA_PARSERS[kind]
+        with pytest.raises(FactorParseError, match="expected header") as info:
+            parse(",".join(reversed(header.split(","))) + "\n")
+        assert (info.value.line, info.value.column) == (1, 1)
+
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
     def test_only_cr_and_lf_break_lines(self, kind, char):
         parse, header = DATA_PARSERS[kind]
@@ -415,6 +421,12 @@ class TestDataFileGrammar:
         with pytest.raises(FactorParseError, match=expected) as info:
             parse(header + "\n# comment\na,b\n")
         assert info.value.line == 3
+
+    def test_extra_field(self, kind):
+        parse, header = DATA_PARSERS[kind]
+        count = header.count(",") + 1
+        with pytest.raises(FactorParseError, match=f"expected {count} fields, got {count + 1}"):
+            parse(f"{header}\n{','.join('a' * (count + 1))}\n")
 
     @pytest.mark.parametrize("value", BAD_NUMBERS)
     def test_bad_number_names_its_row(self, kind, value):

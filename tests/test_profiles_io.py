@@ -137,7 +137,7 @@ def respelled(draw, text):
     override's kind in any case. Before the first header a level line's
     diagnostic quotes the key, so it stays as is."""
     cases = st.sampled_from([str.lower, str.upper, str.title, str.swapcase])
-    spaces = st.sampled_from(["", " ", "\t", "   "])
+    spaces = st.sampled_from(["", " ", "\t", "   ", "\x0c", "\xa0", "\u3000"])
 
     def respell(m):
         return (m[1] + draw(cases)(m[2]) + draw(spaces) + "=" + draw(spaces)
@@ -523,6 +523,15 @@ class TestParsing:
         # The column of an undefined level follows the value as written.
         assert ([(d.code, d.line, d.message) for d in respelled_diagnostics]
                 == [(d.code, d.line, d.message) for d in diagnostics])
+
+    @pytest.mark.parametrize("space", ["\x0c", "\xa0", "\u3000"], ids=ascii)
+    def test_unicode_space_around_a_level_equals_is_free(self, space):
+        text = read("valid.iotprof")
+        spaced = "\n".join(
+            _LEVEL_LINE_RE.sub(lambda m: f"{m[1]}{m[2]}{space}={space}{m[3]}{m[4]}", line)
+            for line in text.split("\n"))
+        assert spaced.count(f"{space}={space}hsl") == 24
+        assert validate_profiles(spaced) == validate_profiles(text)
 
     @pytest.mark.parametrize(
         "line, code",

@@ -64,6 +64,15 @@ class TestAnnualConversion:
         assert 2023 in annual.extrapolated_years
         assert 2027 in annual.extrapolated_years
 
+    @pytest.mark.parametrize("extrapolated, derived", [
+        ((2020,), {2020}), ((2022,), {2021, 2022}), ((2023,), {2022})])
+    def test_either_endpoint_marks_a_year_extrapolated(self, extrapolated, derived):
+        # The bundled trends are extrapolated only at their end, so an
+        # extrapolated first endpoint is seen only here.
+        cum = make_cumulative({2020: 1.0, 2021: 2.0, 2022: 4.0, 2023: 7.0},
+                              extrapolated=extrapolated)
+        assert cumulative_to_annual(cum).extrapolated_years == derived
+
     def test_rejects_annual_input(self, trends):
         with pytest.raises(NotCumulative):
             cumulative_to_annual(trends[("ARM", "annual")])
